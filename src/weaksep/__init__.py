@@ -1,82 +1,7 @@
-"""weaksep: seedable simulator and analytics for qubit discrimination with weak measurements."""
+"""weaksep: seedable simulator and analytics for qubit discrimination with weak measurements.
 
-from .qubit import (
-    QubitState,
-    angle_of,
-    born_probabilities,
-    helstrom_bound,
-    make_discrimination_pair,
-    overlap,
-    state_from_angle,
-)
-from .stats import (
-    PRNG_ALGORITHM,
-    EmpiricalCdf,
-    LogNormalFit,
-    RngStream,
-    binomial_stderr,
-    derive_generator,
-    empirical_cdf,
-    fit_lognormal,
-    gaussian,
-    gaussian_array,
-    make_stream,
-    quadratic_scaling_fit,
-)
-from .walk import (
-    Outcome,
-    PointerModel,
-    WalkBoundaries,
-    WalkEnsemble,
-    WalkOutcome,
-    WalkSummary,
-    bias_update,
-    default_max_steps,
-    posterior_weight,
-    run_ensemble,
-    run_walk,
-    sample_reading,
-    sample_readings,
-    state_log_odds,
-    step,
-    strong_measure,
-)
-from .discriminate import (
-    Candidate,
-    ErrorDecomposition,
-    ProtocolResult,
-    SuccessCurve,
-    average_cdf,
-    candidate_of,
-    collapse_success_curve,
-    compose_error,
-    error_decomposition,
-    hypothesis_success_curve,
-    hypothesis_success_curves,
-    hypothesis_trial,
-    iterative_trial,
-)
-from .tsvf import (
-    EQUAL_SUPERPOSITION,
-    PAULI_Y,
-    PAULI_Z,
-    MomentReport,
-    QuadratureError,
-    SeparationReport,
-    TsvfSetup,
-    WeakValue,
-    analytic_moments,
-    input_state_for_eta,
-    mean_fin,
-    mean_fin_from_weak_value,
-    needle_density,
-    optimal_eta,
-    quadrature_moments,
-    rejection_sample_batch,
-    rejection_sample_run,
-    second_moment_fin,
-    separation_report,
-    weak_value,
-)
+The package has no top-level re-exports; import from its modules, e.g.
+``from weaksep.walk import run_ensemble``.
+"""
 
 __version__ = "0.1.0"

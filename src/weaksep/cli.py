@@ -25,7 +25,6 @@ from .experiments import (
     SpecError,
     default_parameters,
     run,
-    validate,
 )
 
 
@@ -95,10 +94,6 @@ def main(argv: list[str] | None = None) -> int:
     spec, errors = build_spec(args)
     if errors:
         _error_json("invalid invocation", errors)
-        return 2
-    errors = validate(spec)
-    if errors:
-        _error_json("invalid experiment spec", errors)
         return 2
 
     try:

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .qubit import QubitState, helstrom_bound, make_discrimination_pair
 from .stats import binomial_stderr, derive_generator, empirical_cdf, EmpiricalCdf
@@ -32,8 +31,7 @@ from .walk import (
     Outcome,
     PointerModel,
     WalkBoundaries,
-    _advanced_log_odds,
-    _reading_from_uniforms,
+    _lockstep,
     run_ensemble,
     run_walk,
     state_log_odds,
@@ -65,7 +63,6 @@ class ProtocolResult:
     statistic: float | None
     steps: int
     maxed_out: bool = False
-    wrong_side: bool | None = None
 
 
 def iterative_trial(
@@ -185,16 +182,9 @@ def hypothesis_trial(
     if m < 1:
         raise ValueError("m must be >= 1")
     truth = candidate_of(truth_state)
-    sig2 = pm.sigma * pm.sigma
-    L = state_log_odds(truth_state)
     total = 0.0
-    for _ in range(m):
-        p = expit(L)
-        u1 = rng.random()
-        u2 = rng.random()
-        x = float(_reading_from_uniforms(p, u1, u2, pm.g, pm.sigma))
-        L = _advanced_log_odds(L, x, pm.g, sig2)
-        total += x
+    for x in run_walk(truth_state, pm, None, m, rng).readings.tolist():
+        total += x  # left to right, as the lockstep engines accumulate
     mean = total / m
     if mean < 0.0:
         guess = Candidate.PSI1
@@ -202,14 +192,7 @@ def hypothesis_trial(
         guess = Candidate.PSI2
     else:
         guess = Candidate.PSI1 if rng.random() < 0.5 else Candidate.PSI2
-    wrong_side = L > 0.0 if truth == Candidate.PSI1 else L < 0.0
-    return ProtocolResult(
-        guess=guess,
-        truth=truth,
-        statistic=mean,
-        steps=m,
-        wrong_side=bool(wrong_side),
-    )
+    return ProtocolResult(guess=guess, truth=truth, statistic=mean, steps=m)
 
 
 @dataclass
@@ -220,39 +203,6 @@ class SuccessCurve:
     success: np.ndarray
     stderr: np.ndarray
     helstrom: np.ndarray
-
-
-def _mean_reading_marks(
-    L0_by_trial: np.ndarray,
-    m_values: list[int],
-    pm: PointerModel,
-    gens: list[np.random.Generator],
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Advance all trials in lockstep for max(m) steps; mean readings at each mark.
-
-    Each trial consumes 2*max(m) uniforms from its own generator, prefetched
-    in one block (stream-equivalent to per-step consumption).
-    """
-    trials = L0_by_trial.size
-    m_max = max(m_values)
-    marks = set(m_values)
-    sig2 = pm.sigma * pm.sigma
-    block = np.empty((trials, 2 * m_max))
-    for i, g in enumerate(gens):
-        block[i] = g.random(2 * m_max)
-    L = L0_by_trial.copy()
-    sums = np.zeros(trials)
-    means: dict[int, np.ndarray] = {}
-    finals: dict[int, np.ndarray] = {}
-    for t in range(m_max):
-        p = expit(L)
-        x = _reading_from_uniforms(p, block[:, 2 * t], block[:, 2 * t + 1], pm.g, pm.sigma)
-        L = _advanced_log_odds(L, x, pm.g, sig2)
-        sums += x
-        if (t + 1) in marks:
-            means[t + 1] = sums / (t + 1)
-            finals[t + 1] = L.copy()
-    return means, finals
 
 
 def hypothesis_success_curves(
@@ -282,7 +232,12 @@ def hypothesis_success_curves(
         u_truth = np.array([g.random() for g in gens])
         truth_is_1 = u_truth < 0.5
         L0 = np.where(truth_is_1, state_log_odds(psi1), state_log_odds(psi2))
-        means, _ = _mean_reading_marks(L0, m_values, pm, gens)
+        sums = np.zeros(trials)
+        means = {}
+        for t, lanes, x, _ in _lockstep(L0, pm, None, m_values[-1], gens):
+            sums[lanes] += x
+            if t in m_values:
+                means[t] = sums / t
         for m in m_values:
             mr = means[m]
             guess_is_1 = mr < 0.0
@@ -296,17 +251,6 @@ def hypothesis_success_curves(
         m: SuccessCurve(thetas.copy(), success[m], stderr[m], hel.copy())
         for m in m_values
     }
-
-
-def hypothesis_success_curve(
-    theta_grid,
-    m: int,
-    pm: PointerModel,
-    trials: int,
-    master_seed: int,
-) -> SuccessCurve:
-    """Single-m sign-test success curve (the m-slice of the shared-stream run)."""
-    return hypothesis_success_curves(theta_grid, [m], pm, trials, master_seed)[m]
 
 
 def average_cdf(
@@ -323,8 +267,10 @@ def average_cdf(
         raise ValueError("m must be >= 1")
     gens = [derive_generator(master_seed, i) for i in range(trials)]
     L0 = np.full(trials, state_log_odds(truth_state))
-    means, _ = _mean_reading_marks(L0, [m], pm, gens)
-    return empirical_cdf(means[m])
+    sums = np.zeros(trials)
+    for _, lanes, x, _ in _lockstep(L0, pm, None, m, gens):
+        sums[lanes] += x
+    return empirical_cdf(sums / m)
 
 
 def collapse_success_curve(

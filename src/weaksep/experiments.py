@@ -8,6 +8,7 @@ separated, header row first, line-feed terminated.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
@@ -120,25 +121,10 @@ def _dump_trajectories(
 # ---------------------------------------------------------------------------
 # experiment implementations
 
-def _defaults_helstrom_table() -> dict:
-    return {"theta_grid": [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0]}
-
-
 def _run_helstrom_table(params, master_seed, outdir, files) -> dict:
     rows = [(t, helstrom_bound(t)) for t in params["theta_grid"]]
     _write_csv(outdir / "helstrom_table.csv", ["theta_deg", "helstrom"], rows, files)
     return {"points": len(rows)}
-
-
-def _defaults_fig2() -> dict:
-    return {
-        "sigma": 20.0,
-        "boundaries": [10.0, 80.0],
-        "start_angle_deg": 45.0,
-        "trials": 10000,
-        "max_steps": None,
-        "dump_trajectories": False,
-    }
 
 
 def _run_fig2(params, master_seed, outdir, files) -> dict:
@@ -168,17 +154,6 @@ def _run_fig2(params, master_seed, outdir, files) -> dict:
     }
 
 
-def _defaults_fig3() -> dict:
-    return {
-        "sigma_grid": [5.0, 10.0, 15.0, 20.0, 25.0],
-        "boundaries": [10.0, 80.0],
-        "start_angle_deg": 45.0,
-        "trials": 10000,
-        "max_steps": None,
-        "dump_trajectories": False,
-    }
-
-
 def _run_fig3(params, master_seed, outdir, files) -> dict:
     wb = WalkBoundaries(*params["boundaries"])
     s0 = state_from_angle(params["start_angle_deg"])
@@ -203,16 +178,6 @@ def _run_fig3(params, master_seed, outdir, files) -> dict:
     return {"coefficient": coeff, "r_squared": r2}
 
 
-def _defaults_fig4() -> dict:
-    return {
-        "theta_grid": [30.0, 40.0, 50.0, 60.0, 70.0, 80.0],
-        "boundaries": [1.0, 89.0],
-        "sigma": 5.0,
-        "trials": 1000,
-        "max_steps": None,
-    }
-
-
 def _run_fig4(params, master_seed, outdir, files) -> dict:
     curve = collapse_success_curve(
         params["theta_grid"], WalkBoundaries(*params["boundaries"]),
@@ -222,15 +187,6 @@ def _run_fig4(params, master_seed, outdir, files) -> dict:
     _write_csv(outdir / "fig4_success.csv",
                ["theta_deg", "success", "stderr", "helstrom"], rows, files)
     return {"worst_margin_vs_helstrom": float(np.min(curve.success - curve.helstrom))}
-
-
-def _defaults_fig5() -> dict:
-    return {
-        "theta_grid": [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0],
-        "m_values": [5, 10, 20],
-        "sigma": 3.0,
-        "trials": 5000,
-    }
 
 
 def _run_fig5(params, master_seed, outdir, files) -> dict:
@@ -246,16 +202,6 @@ def _run_fig5(params, master_seed, outdir, files) -> dict:
     return {"success_at_max_theta": headline}
 
 
-def _defaults_fig6() -> dict:
-    return {
-        "theta_deg": 50.0,
-        "truth": "psi2",
-        "m_values": [5, 10, 20],
-        "sigma": 3.0,
-        "trials": 5000,
-    }
-
-
 def _run_fig6(params, master_seed, outdir, files) -> dict:
     psi1, psi2 = make_discrimination_pair(params["theta_deg"])
     truth_state = psi1 if params["truth"] == "psi1" else psi2
@@ -267,14 +213,6 @@ def _run_fig6(params, master_seed, outdir, files) -> dict:
         _write_csv(outdir / f"fig6_m{m}.csv", ["mean_reading", "cdf"], rows, files)
         medians[str(m)] = cdf.median
     return {"medians": medians}
-
-
-def _defaults_tsvf_report() -> dict:
-    return {
-        "g_grid": [0.01, 0.05, 0.1, 0.5],
-        "sigma_grid": [1.0, 2.0, 5.0],
-        "eta_grid": [0.05, 0.2, math.pi / 4, math.pi / 2, 2.5],
-    }
 
 
 def _run_tsvf_report(params, master_seed, outdir, files) -> dict:
@@ -299,10 +237,6 @@ def _run_tsvf_report(params, master_seed, outdir, files) -> dict:
                 "second_moment_analytic", "second_moment_quadrature",
                 "postselect_prob"], rows, files)
     return {"worst_mean_rel_err": worst_mean, "worst_second_moment_rel_err": worst_second}
-
-
-def _defaults_tsvf_separation() -> dict:
-    return {"g": 0.05, "sigma": 2.0, "eta1": None, "eta2": 2.0}
 
 
 def _run_tsvf_separation(params, master_seed, outdir, files) -> dict:
@@ -332,25 +266,60 @@ def _run_tsvf_separation(params, master_seed, outdir, files) -> dict:
     }
 
 
+# name -> (default parameters, runner); every default is overridable
 EXPERIMENTS = {
-    "helstrom-table": (_defaults_helstrom_table, _run_helstrom_table),
-    "fig2": (_defaults_fig2, _run_fig2),
-    "fig3": (_defaults_fig3, _run_fig3),
-    "fig4": (_defaults_fig4, _run_fig4),
-    "fig5": (_defaults_fig5, _run_fig5),
-    "fig6": (_defaults_fig6, _run_fig6),
-    "tsvf-report": (_defaults_tsvf_report, _run_tsvf_report),
-    "tsvf-separation": (_defaults_tsvf_separation, _run_tsvf_separation),
+    "helstrom-table": (
+        {"theta_grid": [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0]},
+        _run_helstrom_table),
+    "fig2": (
+        {"sigma": 20.0, "boundaries": [10.0, 80.0], "start_angle_deg": 45.0,
+         "trials": 10000, "max_steps": None, "dump_trajectories": False},
+        _run_fig2),
+    "fig3": (
+        {"sigma_grid": [5.0, 10.0, 15.0, 20.0, 25.0], "boundaries": [10.0, 80.0],
+         "start_angle_deg": 45.0, "trials": 10000, "max_steps": None,
+         "dump_trajectories": False},
+        _run_fig3),
+    "fig4": (
+        {"theta_grid": [30.0, 40.0, 50.0, 60.0, 70.0, 80.0], "boundaries": [1.0, 89.0],
+         "sigma": 5.0, "trials": 1000, "max_steps": None},
+        _run_fig4),
+    "fig5": (
+        {"theta_grid": [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0],
+         "m_values": [5, 10, 20], "sigma": 3.0, "trials": 5000},
+        _run_fig5),
+    "fig6": (
+        {"theta_deg": 50.0, "truth": "psi2", "m_values": [5, 10, 20], "sigma": 3.0,
+         "trials": 5000},
+        _run_fig6),
+    "tsvf-report": (
+        {"g_grid": [0.01, 0.05, 0.1, 0.5], "sigma_grid": [1.0, 2.0, 5.0],
+         "eta_grid": [0.05, 0.2, math.pi / 4, math.pi / 2, 2.5]},
+        _run_tsvf_report),
+    "tsvf-separation": (
+        {"g": 0.05, "sigma": 2.0, "eta1": None, "eta2": 2.0},
+        _run_tsvf_separation),
 }
 
 
 def default_parameters(experiment: str) -> dict:
-    return EXPERIMENTS[experiment][0]()
+    """A fresh copy of the experiment's defaults; callers may mutate it."""
+    return copy.deepcopy(EXPERIMENTS[experiment][0])
+
+
+def _is_int(v) -> bool:
+    """A JSON integer; bools are rejected although Python counts them as ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A finite JSON number, integer or float; not a bool, NaN or infinity."""
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
 
 def _check_boundaries(value, errors):
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) for v in value)):
+            or not all(_is_real(v) for v in value)):
         errors.append(f"boundaries must be a [a0, a1] pair, got {value!r}")
     elif not (0.0 <= value[0] < value[1] <= 90.0):
         errors.append(f"boundaries must satisfy 0 <= a0 < a1 <= 90, got {value!r}")
@@ -361,7 +330,7 @@ def _check_angle_grid(grid, errors, name):
         errors.append(f"{name} must be a nonempty list of angles")
         return
     for t in grid:
-        if not isinstance(t, (int, float)) or not 0.0 < t <= 90.0:
+        if not _is_real(t) or not 0.0 < t <= 90.0:
             errors.append(f"{name} entries must lie in (0, 90], got {t!r}")
 
 
@@ -371,8 +340,9 @@ def validate(spec: ExperimentSpec) -> list[str]:
     if spec.experiment not in EXPERIMENTS:
         return [f"unknown experiment {spec.experiment!r}; "
                 f"choose from {sorted(EXPERIMENTS)}"]
-    if not isinstance(spec.master_seed, int):
-        errors.append(f"master_seed must be an integer, got {spec.master_seed!r}")
+    if not (_is_int(spec.master_seed) and 0 <= spec.master_seed < 2**64):
+        errors.append(f"master_seed must be an integer in [0, 2**64), "
+                      f"got {spec.master_seed!r}")
     defaults = default_parameters(spec.experiment)
     unknown = set(spec.parameters) - set(defaults)
     if unknown:
@@ -381,51 +351,51 @@ def validate(spec: ExperimentSpec) -> list[str]:
     params = {**defaults, **spec.parameters}
 
     trials = params.get("trials")
-    if trials is not None and (not isinstance(trials, int) or trials < 1):
+    if trials is not None and (not _is_int(trials) or trials < 1):
         errors.append(f"trials must be an integer >= 1, got {trials!r}")
-    if spec.experiment in ("fig2", "fig3") and isinstance(trials, int) and trials < 30:
+    if spec.experiment in ("fig2", "fig3") and _is_int(trials) and trials < 30:
         errors.append(f"{spec.experiment} needs trials >= 30 for the distribution fit")
-    if spec.experiment == "fig5" and isinstance(trials, int) and trials < 100:
+    if spec.experiment == "fig5" and _is_int(trials) and trials < 100:
         errors.append("fig5 needs trials >= 100")
-    if spec.experiment == "fig6" and isinstance(trials, int) and trials < 1000:
+    if spec.experiment == "fig6" and _is_int(trials) and trials < 1000:
         errors.append("fig6 needs trials >= 1000")
     for key in ("sigma", "g"):
-        if key in params and (not isinstance(params[key], (int, float))
+        if key in params and (not _is_real(params[key])
                               or params[key] <= 0):
-            errors.append(f"{key} must be a positive number, got {params[key]!r}")
+            errors.append(f"{key} must be a positive finite number, got {params[key]!r}")
     if "sigma_grid" in params:
         if (not isinstance(params["sigma_grid"], (list, tuple))
                 or len(params["sigma_grid"]) < 1
-                or any(not isinstance(s, (int, float)) or s <= 0
+                or any(not _is_real(s) or s <= 0
                        for s in params["sigma_grid"])):
-            errors.append(f"sigma_grid must be positive numbers, got {params['sigma_grid']!r}")
+            errors.append(f"sigma_grid must be positive finite numbers, got {params['sigma_grid']!r}")
     if "boundaries" in params:
         _check_boundaries(params["boundaries"], errors)
     if "theta_grid" in params:
         _check_angle_grid(params["theta_grid"], errors, "theta_grid")
-    if "theta_deg" in params and not (isinstance(params["theta_deg"], (int, float))
+    if "theta_deg" in params and not (_is_real(params["theta_deg"])
                                       and 0.0 < params["theta_deg"] <= 90.0):
         errors.append(f"theta_deg must lie in (0, 90], got {params['theta_deg']!r}")
     if "start_angle_deg" in params and not (
-            isinstance(params["start_angle_deg"], (int, float))
+            _is_real(params["start_angle_deg"])
             and 0.0 <= params["start_angle_deg"] <= 90.0):
         errors.append(f"start_angle_deg must lie in [0, 90], "
                       f"got {params['start_angle_deg']!r}")
     if "m_values" in params:
         ms = params["m_values"]
         if (not isinstance(ms, (list, tuple)) or not ms
-                or any(not isinstance(m, int) or m < 1 for m in ms)):
+                or any(not _is_int(m) or m < 1 for m in ms)):
             errors.append(f"m_values must be integers >= 1, got {ms!r}")
     if "max_steps" in params and params["max_steps"] is not None:
-        if not isinstance(params["max_steps"], int) or params["max_steps"] < 1:
+        if not _is_int(params["max_steps"]) or params["max_steps"] < 1:
             errors.append(f"max_steps must be an integer >= 1, got {params['max_steps']!r}")
     if "eta_grid" in params:
         for eta in params["eta_grid"]:
-            if not isinstance(eta, (int, float)) or not 0.0 < eta <= math.pi:
+            if not _is_real(eta) or not 0.0 < eta <= math.pi:
                 errors.append(f"eta_grid entries must lie in (0, pi], got {eta!r}")
     for key in ("eta1", "eta2"):
         if key in params and params[key] is not None:
-            if not isinstance(params[key], (int, float)) or not 0.0 < params[key] <= math.pi:
+            if not _is_real(params[key]) or not 0.0 < params[key] <= math.pi:
                 errors.append(f"{key} must lie in (0, pi], got {params[key]!r}")
     if "truth" in params and params["truth"] not in ("psi1", "psi2"):
         errors.append(f"truth must be 'psi1' or 'psi2', got {params['truth']!r}")

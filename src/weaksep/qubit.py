@@ -38,11 +38,6 @@ def state_from_angle(a_deg: float) -> QubitState:
     return QubitState(math.cos(a), math.sin(a))
 
 
-def angle_of(s: QubitState) -> float:
-    """Angle of the state in degrees; inverse of state_from_angle."""
-    return s.angle_deg
-
-
 def overlap(s1: QubitState, s2: QubitState) -> float:
     """Inner product of two real-amplitude states."""
     return s1.alpha * s2.alpha + s1.beta * s2.beta

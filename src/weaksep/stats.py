@@ -17,26 +17,15 @@ function of the uniform stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 from scipy.stats import lognorm, norm
 
 PRNG_ALGORITHM = "numpy-pcg64/seedseq-spawn/ndtri-inverse-cdf"
 
 # rng.random() lies in [0, 1); clip away an exact 0.0 so ndtri stays finite.
 _MIN_UNIFORM = 1e-300
-
-
-@dataclass
-class RngStream:
-    """A per-trial random stream tagged with how it was derived."""
-
-    algorithm: str
-    master_seed: int
-    stream_index: int
-    generator: np.random.Generator = field(repr=False)
 
 
 def derive_generator(master_seed: int, *stream_path: int) -> np.random.Generator:
@@ -47,28 +36,6 @@ def derive_generator(master_seed: int, *stream_path: int) -> np.random.Generator
     """
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(stream_path))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def make_stream(master_seed: int, stream_index: int = 0) -> RngStream:
-    return RngStream(
-        algorithm=PRNG_ALGORITHM,
-        master_seed=master_seed,
-        stream_index=stream_index,
-        generator=derive_generator(master_seed, stream_index),
-    )
-
-
-def gaussian_array(rng: np.random.Generator, n: int, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
-    """n inverse-CDF Gaussian draws, consuming exactly n uniforms."""
-    if sd < 0:
-        raise ValueError("sd must be nonnegative")
-    u = np.maximum(rng.random(n), _MIN_UNIFORM)
-    return mean + sd * ndtri(u)
-
-
-def gaussian(rng: np.random.Generator, mean: float = 0.0, sd: float = 1.0) -> float:
-    """One inverse-CDF Gaussian draw (one uniform consumed)."""
-    return float(gaussian_array(rng, 1, mean, sd)[0])
 
 
 @dataclass

@@ -242,20 +242,14 @@ def quadrature_moments(setup: TsvfSetup) -> MomentReport:
     return MomentReport(m1, m2, m2 - m1 * m1, setup.postselect_prob, acceptance)
 
 
-def rejection_sample_run(setup: TsvfSetup, rng: np.random.Generator):
-    """One post-selected run: needle reading, or None when post-selection fails.
+def rejection_sample_batch(setup: TsvfSetup, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+    """Accepted readings among n_draws attempts; stream-equivalent to n calls with n_draws=1.
 
-    Draws x ~ N(0, sigma^2) and accepts with probability
+    Each attempt draws x ~ N(0, sigma^2) and accepts it with probability
     sin^2(eta/2) (cos gx + b sin gx)^2, which never exceeds 1 since
     sin^2(eta/2) (1 + b^2) = 1. Accepted readings follow the normalized
-    conditional density. Consumes two uniforms per call.
+    conditional density. Consumes two uniforms per attempt.
     """
-    accepted = rejection_sample_batch(setup, 1, rng)
-    return float(accepted[0]) if accepted.size else None
-
-
-def rejection_sample_batch(setup: TsvfSetup, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    """Accepted readings among n_draws attempts; stream-equivalent to n single runs."""
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     u = rng.random(2 * n_draws)

@@ -23,10 +23,17 @@ Randomness contract
 Every weak measurement consumes exactly two uniform doubles from the
 supplied generator: one for the branch choice (u < alpha^2 picks the +g
 branch) and one mapped through the inverse normal CDF for the needle noise.
-A strong measurement consumes one uniform. Ensembles give trial i the
-derived stream ``stats.derive_generator(master_seed, i)``; trials are
-advanced in vectorized lockstep but consume only their own stream, so a
-trial's outcome is a pure function of (master_seed, trial index) and is
+A strong measurement consumes one uniform.
+
+Engines
+-------
+The step is written twice: once in the scalar reference `run_walk`, and once
+in the private lockstep kernel `_lockstep`, which every ensemble uses (the
+collapse ensembles of `run_ensemble` and the fixed-m sign tests of
+`discriminate`). The kernel advances lane i on its own generator gens[i];
+ensembles give trial i the derived stream
+``stats.derive_generator(master_seed, *seed_path, i)``, so a trial's outcome
+is a pure function of (master_seed, seed_path, trial index) and is
 bit-identical to a standalone `run_walk` on the derived stream.
 """
 
@@ -143,21 +150,6 @@ def state_log_odds(s: QubitState) -> float:
     return 2.0 * (math.log(abs(s.alpha)) - math.log(abs(s.beta)))
 
 
-def sample_reading(s: QubitState, pm: PointerModel, rng: np.random.Generator) -> float:
-    """One needle reading from the mixture alpha^2 N(+g,s^2) + beta^2 N(-g,s^2)."""
-    p0 = s.alpha * s.alpha
-    u1 = rng.random()
-    u2 = rng.random()
-    return float(_reading_from_uniforms(p0, u1, u2, pm.g, pm.sigma))
-
-
-def sample_readings(s: QubitState, pm: PointerModel, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n independent readings of the same state; stream-equivalent to n single calls."""
-    p0 = s.alpha * s.alpha
-    u = rng.random(2 * n)
-    return _reading_from_uniforms(p0, u[0::2], u[1::2], pm.g, pm.sigma)
-
-
 def bias_update(s: QubitState, x0: float, pm: PointerModel) -> QubitState:
     """Back-action of reading x0: reweight amplitudes by the Gaussian branch weights.
 
@@ -194,12 +186,6 @@ def posterior_weight(S, s0: QubitState, pm: PointerModel):
     return float(out) if np.isscalar(S) else out
 
 
-def step(s: QubitState, pm: PointerModel, rng: np.random.Generator) -> tuple[QubitState, float]:
-    """One weak measurement: sample a reading, then apply its back-action."""
-    x = sample_reading(s, pm, rng)
-    return bias_update(s, x, pm), x
-
-
 def strong_measure(s: QubitState, rng: np.random.Generator) -> Outcome:
     """Projective measurement in the computational basis (one uniform consumed)."""
     return Outcome.ZERO if rng.random() < s.alpha * s.alpha else Outcome.ONE
@@ -208,7 +194,7 @@ def strong_measure(s: QubitState, rng: np.random.Generator) -> Outcome:
 def run_walk(
     s0: QubitState,
     pm: PointerModel,
-    wb: WalkBoundaries,
+    wb: WalkBoundaries | None,
     max_steps: int | None,
     rng: np.random.Generator,
 ) -> WalkOutcome:
@@ -216,20 +202,22 @@ def run_walk(
 
     Stops at the first step whose updated state crosses either boundary (that
     reading is included) or after max_steps (label MAXED_OUT). A start state
-    at or beyond a boundary returns immediately with 0 steps.
+    at or beyond a boundary returns immediately with 0 steps. With wb=None
+    there is no boundary: exactly max_steps readings are taken.
     """
     if max_steps is None:
         max_steps = default_max_steps(pm)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
 
-    l_zero = wb.log_odds_zero
-    l_one = wb.log_odds_one
-    angle = s0.angle_deg
-    if angle <= wb.a0_tilde:
-        return WalkOutcome(0, np.empty(0), s0, Outcome.ZERO)
-    if angle >= wb.a1_tilde:
-        return WalkOutcome(0, np.empty(0), s0, Outcome.ONE)
+    if wb is not None:
+        l_zero = wb.log_odds_zero
+        l_one = wb.log_odds_one
+        angle = s0.angle_deg
+        if angle <= wb.a0_tilde:
+            return WalkOutcome(0, np.empty(0), s0, Outcome.ZERO)
+        if angle >= wb.a1_tilde:
+            return WalkOutcome(0, np.empty(0), s0, Outcome.ONE)
 
     sig2 = pm.sigma * pm.sigma
     L = state_log_odds(s0)
@@ -242,6 +230,8 @@ def run_walk(
         x = _reading_from_uniforms(p, u1, u2, pm.g, pm.sigma)
         L = _advanced_log_odds(L, x, pm.g, sig2)
         readings.append(float(x))
+        if wb is None:
+            continue
         if L >= l_zero:
             label = Outcome.ZERO
             break
@@ -249,17 +239,6 @@ def run_walk(
             label = Outcome.ONE
             break
     return WalkOutcome(len(readings), np.asarray(readings), _state_from_log_odds(L), label)
-
-
-@dataclass
-class WalkSummary:
-    """Per-trial summary of an ensemble walk."""
-
-    trial: int
-    steps: int
-    label: Outcome
-    final_angle_deg: float
-    reading_sum: float
 
 
 @dataclass
@@ -284,15 +263,57 @@ class WalkEnsemble:
     def median_steps(self) -> float:
         return float(np.median(self.steps))
 
-    def summaries(self) -> list[WalkSummary]:
-        return [
-            WalkSummary(i, int(self.steps[i]), Outcome(int(self.labels[i])),
-                        float(self.final_angles_deg[i]), float(self.reading_sums[i]))
-            for i in range(self.trials)
-        ]
+
+_BLOCK_STEPS = 32  # uniforms are prefetched per lane in blocks of 2 * this
 
 
-_BLOCK_STEPS = 32  # uniforms are prefetched per trial in blocks of 2 * this
+def _lockstep(L, pm: PointerModel, wb: WalkBoundaries | None, max_steps: int, gens):
+    """The vectorized walk: lane i of L takes readings on its own stream gens[i].
+
+    A lane stops after the reading whose updated log-odds crosses a boundary
+    of wb, or after max_steps readings; wb=None means no boundary, so every
+    lane takes exactly max_steps readings. L is updated in place. After each
+    step t this yields (t, lanes, x, crossed): the lanes that took the step
+    (an index array into L, or slice(None) for all of them), their readings,
+    and the indices of the lanes that crossed a boundary on it. Each lane's
+    arithmetic and uniform stream are exactly those of `run_walk`.
+    """
+    sig2 = pm.sigma * pm.sigma
+    if wb is not None:
+        l_zero = wb.log_odds_zero
+        l_one = wb.log_odds_one
+    no_lanes = np.empty(0, dtype=np.intp)
+    active = np.arange(L.size)
+    t = 0
+    while active.size and t < max_steps:
+        k = min(_BLOCK_STEPS, max_steps - t)
+        block = np.empty((active.size, 2 * k))
+        for row, lane in enumerate(active):
+            block[row] = gens[lane].random(2 * k)
+        # rows of the block still walking and their lanes; slices when none can stop
+        alive = np.ones(active.size, dtype=bool)
+        rows = lanes = slice(None)
+        if wb is not None:
+            rows, lanes = np.arange(active.size), active
+        for i in range(k):
+            t += 1
+            L_lanes = L[lanes]
+            x = _reading_from_uniforms(expit(L_lanes), block[rows, 2 * i],
+                                       block[rows, 2 * i + 1], pm.g, pm.sigma)
+            L_lanes = _advanced_log_odds(L_lanes, x, pm.g, sig2)
+            L[lanes] = L_lanes
+            crossed = no_lanes
+            if wb is not None:
+                done = (L_lanes >= l_zero) | (L_lanes <= l_one)
+                crossed = lanes[done]
+            yield t, lanes, x, crossed
+            if crossed.size:
+                alive[rows[done]] = False
+                if not alive.any():
+                    break
+                rows = np.nonzero(alive)[0]
+                lanes = active[rows]
+        active = active[alive]
 
 
 def run_ensemble(
@@ -318,54 +339,23 @@ def run_ensemble(
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
 
-    steps = np.zeros(trials, dtype=np.int64)
-    labels = np.full(trials, int(Outcome.MAXED_OUT), dtype=np.int8)
     sums = np.zeros(trials, dtype=float)
-
     angle = s0.angle_deg
     if angle <= wb.a0_tilde or angle >= wb.a1_tilde:
         crossed = Outcome.ZERO if angle <= wb.a0_tilde else Outcome.ONE
-        labels[:] = int(crossed)
-        final_angles = np.full(trials, angle)
-        return WalkEnsemble(steps, labels, final_angles, sums, master_seed, max_steps)
+        labels = np.full(trials, int(crossed), dtype=np.int8)
+        return WalkEnsemble(np.zeros(trials, dtype=np.int64), labels,
+                            np.full(trials, angle), sums, master_seed, max_steps)
 
-    sig2 = pm.sigma * pm.sigma
-    l_zero = wb.log_odds_zero
-    l_one = wb.log_odds_one
     L = np.full(trials, state_log_odds(s0), dtype=float)
     gens = [derive_generator(master_seed, *seed_path, i) for i in range(trials)]
-
-    active = np.arange(trials)
-    t = 0
-    while active.size and t < max_steps:
-        k = min(_BLOCK_STEPS, max_steps - t)
-        block = np.empty((active.size, 2 * k))
-        for row, lane in enumerate(active):
-            block[row] = gens[lane].random(2 * k)
-        alive = np.ones(active.size, dtype=bool)
-        for i in range(k):
-            t += 1
-            rows = np.nonzero(alive)[0]
-            lanes = active[rows]
-            p = expit(L[lanes])
-            x = _reading_from_uniforms(p, block[rows, 2 * i], block[rows, 2 * i + 1],
-                                       pm.g, pm.sigma)
-            L_new = _advanced_log_odds(L[lanes], x, pm.g, sig2)
-            L[lanes] = L_new
-            sums[lanes] += x
-            hit_zero = L_new >= l_zero
-            hit_one = L_new <= l_one
-            done = hit_zero | hit_one
-            if done.any():
-                finished = lanes[done]
-                labels[finished] = np.where(hit_zero[done], int(Outcome.ZERO),
-                                            int(Outcome.ONE))
-                steps[finished] = t
-                alive[rows[done]] = False
-                if not alive.any():
-                    break
-        active = active[alive]
-    steps[active] = max_steps  # anything still active ran the full budget
-
+    steps = np.full(trials, max_steps, dtype=np.int64)
+    for t, lanes, x, crossed in _lockstep(L, pm, wb, max_steps, gens):
+        sums[lanes] += x
+        steps[crossed] = t
+    # every lane took at least one step, so its final L tells how it ended
+    labels = np.select([L >= wb.log_odds_zero, L <= wb.log_odds_one],
+                       [int(Outcome.ZERO), int(Outcome.ONE)],
+                       int(Outcome.MAXED_OUT)).astype(np.int8)
     final_angles = np.degrees(np.arctan(np.exp(-0.5 * L)))
     return WalkEnsemble(steps, labels, final_angles, sums, master_seed, max_steps)

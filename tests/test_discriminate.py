@@ -11,7 +11,6 @@ from weaksep.discriminate import (
     collapse_success_curve,
     compose_error,
     error_decomposition,
-    hypothesis_success_curve,
     hypothesis_success_curves,
     hypothesis_trial,
     iterative_trial,
@@ -150,11 +149,6 @@ class TestHypothesisTrial:
                 wins[m] += res.guess == Candidate.PSI1
         assert wins[20] > wins[5]
 
-    def test_wrong_side_flag(self):
-        psi1, _ = make_discrimination_pair(50.0)
-        res = hypothesis_trial(psi1, 5, PointerModel(3.0), derive_generator(109))
-        assert res.wrong_side in (True, False)
-
     def test_m_validation(self):
         psi1, _ = make_discrimination_pair(50.0)
         with pytest.raises(ValueError):
@@ -184,36 +178,39 @@ class TestHypothesisTrial:
 
 class TestHypothesisCurves:
     def test_engine_matches_scalar_trials(self):
-        theta = 50.0
+        # theta=90 starts psi2 on |0> (L=+inf); m=40 runs past one prefetch block
+        grid = [50.0, 90.0]
+        m_values = [5, 10, 40]
         pm = PointerModel(3.0)
         trials = 120
-        curves = hypothesis_success_curves([theta], [5, 10], pm, trials, 111)
-        psi1, psi2 = make_discrimination_pair(theta)
-        for m in (5, 10):
-            wins = 0
-            for i in range(trials):
-                rng = derive_generator(111, 0, i)
-                truth_state = psi1 if rng.random() < 0.5 else psi2
-                res = hypothesis_trial(truth_state, m, pm, rng)
-                wins += res.guess == res.truth
-            assert curves[m].success[0] == pytest.approx(wins / trials, abs=0.0)
+        curves = hypothesis_success_curves(grid, m_values, pm, trials, 111)
+        for k, theta in enumerate(grid):
+            psi1, psi2 = make_discrimination_pair(theta)
+            for m in m_values:
+                wins = 0
+                for i in range(trials):
+                    rng = derive_generator(111, k, i)
+                    truth_state = psi1 if rng.random() < 0.5 else psi2
+                    res = hypothesis_trial(truth_state, m, pm, rng)
+                    wins += res.guess == res.truth
+                assert curves[m].success[k] == pytest.approx(wins / trials, abs=0.0)
 
     def test_single_m_curve_is_the_multi_m_slice(self):
         pm = PointerModel(3.0)
         grid = [30.0, 60.0]
         multi = hypothesis_success_curves(grid, [5, 10, 20], pm, 300, 112)
-        single = hypothesis_success_curve(grid, 5, pm, 300, 112)
+        single = hypothesis_success_curves(grid, [5], pm, 300, 112)[5]
         assert np.array_equal(single.success, multi[5].success)
 
     def test_orthogonal_pair_with_many_readings(self):
-        curve = hypothesis_success_curve([90.0], 50, PointerModel(3.0), 3000, 113)
+        curve = hypothesis_success_curves([90.0], [50], PointerModel(3.0), 3000, 113)[50]
         want = float(norm.cdf(math.sqrt(50.0) / 3.0))
         assert curve.success[0] < 1.0
         assert curve.success[0] == pytest.approx(want, abs=3 * curve.stderr[0] + 0.01)
 
     def test_curve_monotone_and_below_helstrom(self):
         grid = [20.0, 40.0, 60.0, 80.0]
-        curve = hypothesis_success_curve(grid, 10, PointerModel(3.0), 2000, 114)
+        curve = hypothesis_success_curves(grid, [10], PointerModel(3.0), 2000, 114)[10]
         for k in range(len(grid) - 1):
             slack = 3 * math.hypot(curve.stderr[k], curve.stderr[k + 1])
             assert curve.success[k + 1] >= curve.success[k] - slack
@@ -221,7 +218,7 @@ class TestHypothesisCurves:
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
-            hypothesis_success_curve([50.0], 5, PointerModel(3.0), 50, 115)
+            hypothesis_success_curves([50.0], [5], PointerModel(3.0), 50, 115)
 
 
 class TestAverageCdf:
@@ -240,6 +237,15 @@ class TestAverageCdf:
         assert np.all(np.diff(cdf.levels) >= 0)
         assert cdf.levels[0] > 0 and cdf.levels[-1] == 1.0
         assert np.all(np.diff(cdf.values) >= 0)
+
+    def test_values_are_the_scalar_statistics(self):
+        # bit for bit: trial i's m-average on stream (seed, i), summed left to right
+        psi1, _ = make_discrimination_pair(50.0)
+        pm = PointerModel(3.0)
+        cdf = average_cdf(psi1, 40, pm, 1000, 122)
+        scalar = sorted(hypothesis_trial(psi1, 40, pm, derive_generator(122, i)).statistic
+                        for i in range(1000))
+        assert np.array_equal(cdf.values, scalar)
 
     def test_trials_validated(self):
         psi1, _ = make_discrimination_pair(50.0)

@@ -10,6 +10,7 @@ from weaksep.experiments import (
     EXPERIMENTS,
     ExperimentSpec,
     SpecError,
+    default_parameters,
     run,
     validate,
 )
@@ -52,6 +53,10 @@ class TestValidate:
                    validate(ExperimentSpec("fig5", {"trials": 50})))
         assert any("fig6" in e for e in
                    validate(ExperimentSpec("fig6", {"trials": 500})))
+
+    def test_default_parameters_are_fresh_copies(self):
+        default_parameters("fig3")["sigma_grid"].append(99.0)
+        assert default_parameters("fig3")["sigma_grid"] == [5.0, 10.0, 15.0, 20.0, 25.0]
 
     def test_valid_defaults_pass(self):
         for name in EXPERIMENTS:
@@ -205,7 +210,7 @@ class TestFailureCleanup:
             exp._write_csv(outdir / "partial.csv", ["a"], [[1]], files)
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(exp.EXPERIMENTS, "fig2", (exp._defaults_fig2, broken))
+        monkeypatch.setitem(exp.EXPERIMENTS, "fig2", (exp.EXPERIMENTS["fig2"][0], broken))
         with pytest.raises(RuntimeError):
             run(ExperimentSpec("fig2", {"sigma": 5.0, "trials": 40}, 1, str(tmp_path)))
         assert not (tmp_path / "partial.csv").exists()
@@ -250,6 +255,27 @@ class TestCli:
         assert err["error"] == "invalid experiment spec"
         assert any("trials" in d for d in err["details"])
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("experiment, parameters, master_seed", [
+        ("fig2", {"trials": 40, "sigma": math.nan}, 1),
+        ("fig2", {"trials": 40, "sigma": math.inf}, 1),
+        ("fig2", {"trials": 40, "sigma": True}, 1),
+        ("fig3", {"trials": 40, "sigma_grid": [5.0, math.inf]}, 1),
+        ("tsvf-separation", {"g": math.nan}, 1),
+        ("fig2", {"trials": 40}, -1),
+        ("fig2", {"trials": 40}, 2**64),
+        ("fig2", {"trials": 40}, True),
+    ])
+    def test_bad_numbers_give_json_error_and_exit_2(self, tmp_path, capsys, experiment,
+                                                    parameters, master_seed):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "parameters": parameters,
+                                   "master_seed": master_seed,
+                                   "output_dir": str(tmp_path / "out")}))
+        assert main(["--config", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid experiment spec"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_experiment(self, capsys):
         assert main([]) == 2

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from weaksep.qubit import (
     QubitState,
-    angle_of,
     born_probabilities,
     helstrom_bound,
     make_discrimination_pair,
@@ -33,7 +32,7 @@ def test_unnormalized_state_rejected():
 
 @given(angles)
 def test_angle_round_trip(a):
-    assert angle_of(state_from_angle(a)) == pytest.approx(a, abs=1e-12)
+    assert state_from_angle(a).angle_deg == pytest.approx(a, abs=1e-12)
 
 
 @given(angles)
@@ -51,15 +50,15 @@ def test_overlap_trivials():
 
 def test_pair_overlap_is_cos_theta():
     s1, s2 = make_discrimination_pair(50.0)
-    assert angle_of(s1) == pytest.approx(70.0, abs=1e-12)
-    assert angle_of(s2) == pytest.approx(20.0, abs=1e-12)
+    assert s1.angle_deg == pytest.approx(70.0, abs=1e-12)
+    assert s2.angle_deg == pytest.approx(20.0, abs=1e-12)
     assert overlap(s1, s2) == pytest.approx(0.6427876096865394, abs=1e-12)
 
 
 def test_pair_orthogonal_and_degenerate_limits():
     s1, s2 = make_discrimination_pair(90.0)
-    assert angle_of(s1) == pytest.approx(90.0, abs=1e-12)
-    assert angle_of(s2) == pytest.approx(0.0, abs=1e-12)
+    assert s1.angle_deg == pytest.approx(90.0, abs=1e-12)
+    assert s2.angle_deg == pytest.approx(0.0, abs=1e-12)
     tiny1, tiny2 = make_discrimination_pair(1e-9)
     assert overlap(tiny1, tiny2) == pytest.approx(1.0, abs=1e-12)
 
@@ -67,7 +66,7 @@ def test_pair_orthogonal_and_degenerate_limits():
 @given(st.floats(min_value=1e-6, max_value=90.0))
 def test_pair_symmetric_about_45(theta):
     s1, s2 = make_discrimination_pair(theta)
-    assert angle_of(s1) - 45.0 == pytest.approx(45.0 - angle_of(s2), abs=1e-12)
+    assert s1.angle_deg - 45.0 == pytest.approx(45.0 - s2.angle_deg, abs=1e-12)
 
 
 def test_pair_rejects_bad_theta():

@@ -2,66 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import kstest
 
 from weaksep.stats import (
-    PRNG_ALGORITHM,
     binomial_stderr,
     derive_generator,
     empirical_cdf,
     fit_lognormal,
-    gaussian,
-    gaussian_array,
-    make_stream,
     quadratic_scaling_fit,
 )
 
 
-class TestGaussian:
-    def test_zero_sd_returns_mean_exactly(self):
-        rng = derive_generator(1)
-        assert gaussian(rng, mean=3.25, sd=0.0) == 3.25
-
-    def test_negative_sd_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian(derive_generator(1), sd=-1.0)
-
-    def test_deterministic_given_seed(self):
-        a = [gaussian(derive_generator(42, i)) for i in range(5)]
-        b = [gaussian(derive_generator(42, i)) for i in range(5)]
-        assert a == b
-
-    def test_scalar_matches_array_stream(self):
-        rng1 = derive_generator(7)
-        rng2 = derive_generator(7)
-        singles = [gaussian(rng1, 1.0, 2.0) for _ in range(10)]
-        batch = gaussian_array(rng2, 10, 1.0, 2.0)
-        assert singles == pytest.approx(list(batch), abs=0.0)
-
-    def test_sample_mean_near_mean(self):
-        draws = gaussian_array(derive_generator(3), 10**6, mean=0.5, sd=2.0)
-        assert abs(draws.mean() - 0.5) < 3 * 2.0 / 10**3
-
-    def test_sample_sd_near_sd(self):
-        draws = gaussian_array(derive_generator(4), 10**5, sd=1.5)
-        assert draws.std() == pytest.approx(1.5, rel=0.02)
-
-
 class TestStreams:
-    def test_identified_algorithm(self):
-        stream = make_stream(5, 2)
-        assert stream.algorithm == PRNG_ALGORITHM
-        assert (stream.master_seed, stream.stream_index) == (5, 2)
-
     def test_same_origin_same_sequence(self):
-        a = make_stream(11, 4).generator.random(100)
-        b = make_stream(11, 4).generator.random(100)
+        a = derive_generator(11, 4).random(100)
+        b = derive_generator(11, 4).random(100)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_uncorrelated(self):
         n = 10**5
-        a = gaussian_array(derive_generator(9, 0), n)
-        b = gaussian_array(derive_generator(9, 1), n)
+        a = ndtri(np.maximum(derive_generator(9, 0).random(n), 1e-300))
+        b = ndtri(np.maximum(derive_generator(9, 1).random(n), 1e-300))
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 0.01
 
@@ -69,7 +31,7 @@ class TestStreams:
 class TestFitLognormal:
     def test_recovers_synthetic_parameters(self):
         rng = derive_generator(21)
-        samples = np.exp(2.8 + 0.71 * gaussian_array(rng, 10**5))
+        samples = np.exp(2.8 + 0.71 * ndtri(np.maximum(rng.random(10**5), 1e-300)))
         fit = fit_lognormal(samples)
         assert fit.mu_tilde == pytest.approx(2.8, abs=0.02)
         assert fit.sigma_tilde == pytest.approx(0.71, abs=0.02)
@@ -79,7 +41,7 @@ class TestFitLognormal:
 
     def test_scale_equivariance(self):
         rng = derive_generator(22)
-        samples = np.exp(1.0 + 0.4 * gaussian_array(rng, 5000))
+        samples = np.exp(1.0 + 0.4 * ndtri(np.maximum(rng.random(5000), 1e-300)))
         base = fit_lognormal(samples)
         scaled = fit_lognormal(7.0 * samples)
         assert scaled.mu_tilde - base.mu_tilde == pytest.approx(math.log(7.0), abs=1e-12)
@@ -142,12 +104,12 @@ class TestEmpiricalCdf:
         assert list(cdf.levels) == [1.0]
 
     def test_monotone_zero_to_one(self):
-        cdf = empirical_cdf(gaussian_array(derive_generator(30), 1000))
+        cdf = empirical_cdf(ndtri(np.maximum(derive_generator(30).random(1000), 1e-300)))
         assert np.all(np.diff(cdf.levels) >= 0)
         assert cdf.levels[-1] == 1.0
 
     def test_normal_sample_passes_ks(self):
-        draws = gaussian_array(derive_generator(31), 10**5)
+        draws = ndtri(np.maximum(derive_generator(31).random(10**5), 1e-300))
         result = kstest(draws, "norm")
         assert result.pvalue > 0.01
 

@@ -21,7 +21,6 @@ from weaksep.tsvf import (
     optimal_eta,
     quadrature_moments,
     rejection_sample_batch,
-    rejection_sample_run,
     second_moment_fin,
     separation_report,
     weak_value,
@@ -231,8 +230,9 @@ class TestRejectionSampler:
     def test_single_run_returns_reading_or_none(self):
         setup = TsvfSetup(2.0, 0.05, 2.0)
         rng = derive_generator(200)
-        results = [rejection_sample_run(setup, rng) for _ in range(200)]
-        accepted = [r for r in results if r is not None]
+        results = [rejection_sample_batch(setup, 1, rng) for _ in range(200)]
+        assert all(r.size <= 1 for r in results)
+        accepted = [r for r in results if r.size]
         assert 0 < len(accepted) < 200
 
     def test_batch_equals_singles(self):
@@ -240,9 +240,7 @@ class TestRejectionSampler:
         singles = []
         rng1 = derive_generator(201)
         for _ in range(50):
-            r = rejection_sample_run(setup, rng1)
-            if r is not None:
-                singles.append(r)
+            singles.extend(rejection_sample_batch(setup, 1, rng1))
         batch = rejection_sample_batch(setup, 50, derive_generator(201))
         assert singles == pytest.approx(list(batch), abs=0.0)
 

@@ -10,15 +10,13 @@ from weaksep.walk import (
     Outcome,
     PointerModel,
     WalkBoundaries,
+    _reading_from_uniforms,
     bias_update,
     default_max_steps,
     posterior_weight,
     run_ensemble,
     run_walk,
-    sample_reading,
-    sample_readings,
     state_log_odds,
-    step,
     strong_measure,
 )
 
@@ -47,25 +45,15 @@ def test_boundaries_validation():
 
 class TestSampleReading:
     def test_eigenstate_means(self):
+        # n readings of a fixed state, without back-action, two uniforms each
         pm = PointerModel(2.0)
         n = 10**5
-        se3 = 3 * pm.sigma / math.sqrt(n)
-        plus = sample_readings(state_from_angle(0.0), pm, derive_generator(1), n)
-        assert abs(plus.mean() - 1.0) < se3
-        minus = sample_readings(state_from_angle(90.0), pm, derive_generator(2), n)
-        assert abs(minus.mean() + 1.0) < se3
-        mid = sample_readings(state_from_angle(45.0), pm, derive_generator(3), n)
-        assert abs(mid.mean()) < 3 * math.sqrt(pm.sigma**2 + 1) / math.sqrt(n)
-
-    def test_batch_matches_singles(self):
-        pm = PointerModel(3.0)
-        s = state_from_angle(30.0)
-        singles = [sample_reading(s, pm, derive_generator(4)) for _ in range(1)]
-        rng1 = derive_generator(5)
-        rng2 = derive_generator(5)
-        singles = [sample_reading(s, pm, rng1) for _ in range(20)]
-        batch = sample_readings(s, pm, rng2, 20)
-        assert singles == pytest.approx(list(batch), abs=0.0)
+        for angle, seed, want, sd in ((0.0, 1, 1.0, pm.sigma), (90.0, 2, -1.0, pm.sigma),
+                                      (45.0, 3, 0.0, math.sqrt(pm.sigma**2 + 1))):
+            alpha = state_from_angle(angle).alpha
+            u = derive_generator(seed).random(2 * n)
+            readings = _reading_from_uniforms(alpha * alpha, u[0::2], u[1::2], pm.g, pm.sigma)
+            assert abs(readings.mean() - want) < 3 * sd / math.sqrt(n)
 
 
 class TestBiasUpdate:
@@ -178,17 +166,18 @@ class TestPosteriorWeight:
 
 
 class TestStep:
+    # one weak measurement is a walk with no boundary and a budget of one step
     def test_deterministic(self):
         pm = PointerModel(5.0)
         s = state_from_angle(45.0)
-        s1, x1 = step(s, pm, derive_generator(8))
-        s2, x2 = step(s, pm, derive_generator(8))
-        assert (s1.alpha, s1.beta, x1) == (s2.alpha, s2.beta, x2)
+        a = run_walk(s, pm, None, 1, derive_generator(8))
+        b = run_walk(s, pm, None, 1, derive_generator(8))
+        assert (a.final_state, a.readings[0]) == (b.final_state, b.readings[0])
 
     def test_eigenstate_stays_put(self):
         pm = PointerModel(2.0)
         zero = state_from_angle(0.0)
-        s, x = step(zero, pm, derive_generator(9))
+        s = run_walk(zero, pm, None, 1, derive_generator(9)).final_state
         assert s.alpha == 1.0 and s.beta == 0.0
 
     def test_born_weight_martingale_after_one_step(self):
@@ -196,7 +185,8 @@ class TestStep:
         pm = PointerModel(5.0)
         s0 = state_from_angle(45.0)
         n = 10**5
-        readings = sample_readings(s0, pm, derive_generator(10), n)
+        u = derive_generator(10).random(2 * n)
+        readings = _reading_from_uniforms(s0.alpha * s0.alpha, u[0::2], u[1::2], pm.g, pm.sigma)
         weights = posterior_weight(readings, s0, pm)
         se = weights.std() / math.sqrt(n)
         assert abs(weights.mean() - 0.5) < 3 * se
@@ -338,20 +328,12 @@ class TestRunEnsemble:
         want = born_probabilities(state_from_angle(20.0))[0]
         assert abs(ens.fraction(Outcome.ZERO) - want) < 0.02
 
-    def test_summaries_round_trip(self):
-        ens = run_ensemble(state_from_angle(45.0), PointerModel(3.0),
-                           WalkBoundaries(10.0, 80.0), 5, 55)
-        rows = ens.summaries()
-        assert len(rows) == 5
-        assert rows[2].trial == 2
-        assert rows[2].steps == ens.steps[2]
-        assert rows[2].label == Outcome(int(ens.labels[2]))
-
     def test_nonunit_coupling_smoke(self):
         # g is configurable but only exercised at smoke level
         pm = PointerModel(5.0, g=2.0)
         s0 = state_from_angle(45.0)
-        readings = sample_readings(s0, pm, derive_generator(62), 2000)
+        u = derive_generator(62).random(2 * 2000)
+        readings = _reading_from_uniforms(s0.alpha * s0.alpha, u[0::2], u[1::2], pm.g, pm.sigma)
         s = s0
         for x in readings[:20]:
             s = bias_update(s, float(x), pm)
