@@ -7,8 +7,9 @@ Usage:
 
 A config file is a single JSON document with any of the keys
 {"experiment", "parameters", "master_seed", "output_dir"}; flags override the
-file. Invalid specs exit with status 2 and a machine-readable JSON error on
-standard error.
+file. Invalid specs, runs that fail on their numbers (an overflow, too few
+collapsed walks to fit) and unwritable output directories exit with status 2
+and a machine-readable JSON error on standard error.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def build_spec(args: argparse.Namespace) -> tuple[ExperimentSpec | None, list[st
         try:
             with open(args.config, encoding="utf-8") as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
             return None, [f"cannot read config {args.config}: {exc}"]
         if not isinstance(config, dict):
             return None, ["config must be a JSON object"]
@@ -51,11 +52,13 @@ def build_spec(args: argparse.Namespace) -> tuple[ExperimentSpec | None, list[st
     experiment = args.experiment or config.get("experiment")
     if experiment is None:
         return None, ["no experiment given (positional argument or config key)"]
-    parameters = dict(config.get("parameters", {}))
-    if args.trials is not None:
-        parameters["trials"] = args.trials
-    if args.dump_trajectories:
-        parameters["dump_trajectories"] = True
+    parameters = config.get("parameters", {})
+    if isinstance(parameters, dict):  # anything else is for validate() to reject
+        parameters = dict(parameters)
+        if args.trials is not None:
+            parameters["trials"] = args.trials
+        if args.dump_trajectories:
+            parameters["dump_trajectories"] = True
     master_seed = args.seed if args.seed is not None else config.get(
         "master_seed", DEFAULT_MASTER_SEED)
     output_dir = str(args.out) if args.out is not None else config.get("output_dir", "")
@@ -100,6 +103,9 @@ def main(argv: list[str] | None = None) -> int:
         summary = run(spec)
     except SpecError as exc:
         _error_json("invalid experiment spec", exc.errors)
+        return 2
+    except OSError as exc:
+        _error_json("cannot write outputs", [str(exc)])
         return 2
     except KeyboardInterrupt:
         _error_json("interrupted; partial outputs removed", [])

@@ -39,6 +39,11 @@ from .walk import (
 )
 
 
+# fewest trials a sign-test success curve, and an average's CDF, is estimated from
+MIN_CURVE_TRIALS = 100
+MIN_CDF_TRIALS = 1000
+
+
 class Candidate(enum.Enum):
     PSI1 = "psi1"
     PSI2 = "psi2"
@@ -218,8 +223,8 @@ def hypothesis_success_curves(
     first uniform of a trial picks the truth (PSI1 when u < 0.5); the same
     reading prefix then serves every m.
     """
-    if trials < 100:
-        raise ValueError("trials must be >= 100")
+    if trials < MIN_CURVE_TRIALS:
+        raise ValueError(f"trials must be >= {MIN_CURVE_TRIALS}")
     m_values = sorted(set(int(m) for m in m_values))
     if m_values[0] < 1:
         raise ValueError("every m must be >= 1")
@@ -261,8 +266,8 @@ def average_cdf(
     master_seed: int,
 ) -> EmpiricalCdf:
     """Empirical CDF of the m-reading average for a fixed true state."""
-    if trials < 1000:
-        raise ValueError("trials must be >= 1000")
+    if trials < MIN_CDF_TRIALS:
+        raise ValueError(f"trials must be >= {MIN_CDF_TRIALS}")
     if m < 1:
         raise ValueError("m must be >= 1")
     gens = [derive_generator(master_seed, i) for i in range(trials)]

@@ -14,27 +14,21 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .discriminate import (
-    average_cdf,
-    collapse_success_curve,
-    hypothesis_success_curves,
-)
+from .discriminate import (MIN_CDF_TRIALS, MIN_CURVE_TRIALS, Candidate, average_cdf,
+                           collapse_success_curve, hypothesis_success_curves)
 from .qubit import helstrom_bound, make_discrimination_pair, state_from_angle
-from .stats import PRNG_ALGORITHM, derive_generator, fit_lognormal, quadratic_scaling_fit
-from .tsvf import TsvfSetup, analytic_moments, optimal_eta, quadrature_moments, separation_report
-from .walk import (
-    Outcome,
-    PointerModel,
-    WalkBoundaries,
-    bias_update,
-    run_ensemble,
-    run_walk,
-)
+from .stats import (MIN_FIT_SAMPLES, PRNG_ALGORITHM, derive_generator, fit_lognormal,
+                    quadratic_scaling_fit)
+from .tsvf import (QuadratureError, TsvfSetup, analytic_moments, optimal_eta,
+                   quadrature_moments, separation_report)
+from .walk import Outcome, PointerModel, WalkBoundaries, bias_update, run_ensemble, run_walk
 
 DEFAULT_MASTER_SEED = 20260811
 
@@ -207,7 +201,7 @@ def _run_fig6(params, master_seed, outdir, files) -> dict:
     truth_state = psi1 if params["truth"] == "psi1" else psi2
     pm = PointerModel(params["sigma"])
     medians = {}
-    for m in params["m_values"]:
+    for m in dict.fromkeys(params["m_values"]):
         cdf = average_cdf(truth_state, m, pm, params["trials"], master_seed)
         rows = zip(cdf.values, cdf.levels)
         _write_csv(outdir / f"fig6_m{m}.csv", ["mean_reading", "cdf"], rows, files)
@@ -266,22 +260,23 @@ def _run_tsvf_separation(params, master_seed, outdir, files) -> dict:
     }
 
 
-# name -> (default parameters, runner); every default is overridable
+# name -> (default parameters, runner); every default is overridable by a
+# value of the same JSON kind (see `_kind`)
 EXPERIMENTS = {
     "helstrom-table": (
         {"theta_grid": [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0]},
         _run_helstrom_table),
     "fig2": (
-        {"sigma": 20.0, "boundaries": [10.0, 80.0], "start_angle_deg": 45.0,
+        {"sigma": 20.0, "boundaries": (10.0, 80.0), "start_angle_deg": 45.0,
          "trials": 10000, "max_steps": None, "dump_trajectories": False},
         _run_fig2),
     "fig3": (
-        {"sigma_grid": [5.0, 10.0, 15.0, 20.0, 25.0], "boundaries": [10.0, 80.0],
+        {"sigma_grid": [5.0, 10.0, 15.0, 20.0, 25.0], "boundaries": (10.0, 80.0),
          "start_angle_deg": 45.0, "trials": 10000, "max_steps": None,
          "dump_trajectories": False},
         _run_fig3),
     "fig4": (
-        {"theta_grid": [30.0, 40.0, 50.0, 60.0, 70.0, 80.0], "boundaries": [1.0, 89.0],
+        {"theta_grid": [30.0, 40.0, 50.0, 60.0, 70.0, 80.0], "boundaries": (1.0, 89.0),
          "sigma": 5.0, "trials": 1000, "max_steps": None},
         _run_fig4),
     "fig5": (
@@ -302,6 +297,13 @@ EXPERIMENTS = {
 }
 
 
+# JSON kinds of the parameters whose default is None, which stays allowed
+_NONE_DEFAULT_KINDS = {"max_steps": 1, "eta1": 1.0}
+# fewest trials a run can summarize, where that is more than one
+_TRIAL_FLOORS = {"fig2": MIN_FIT_SAMPLES, "fig3": MIN_FIT_SAMPLES,
+                 "fig5": MIN_CURVE_TRIALS, "fig6": MIN_CDF_TRIALS}
+
+
 def default_parameters(experiment: str) -> dict:
     """A fresh copy of the experiment's defaults; callers may mutate it."""
     return copy.deepcopy(EXPERIMENTS[experiment][0])
@@ -312,102 +314,85 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_real(v) -> bool:
-    """A finite JSON number, integer or float; not a bool, NaN or infinity."""
-    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+_SCALAR_KINDS = (  # (type of a default, test of a value, name); bool before int
+    (bool, lambda v: isinstance(v, bool), "a boolean"),
+    (int, _is_int, "an integer"),
+    (float, lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+     "a finite number"),
+    (str, lambda v: isinstance(v, str), "a string"),
+)
 
 
-def _check_boundaries(value, errors):
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(_is_real(v) for v in value)):
-        errors.append(f"boundaries must be a [a0, a1] pair, got {value!r}")
-    elif not (0.0 <= value[0] < value[1] <= 90.0):
-        errors.append(f"boundaries must satisfy 0 <= a0 < a1 <= 90, got {value!r}")
+def _kind(default):
+    """(test, name) of a default's JSON kind: its scalar kind, or for a list a
+    nonempty list of its first entry's kind; a tuple also fixes the length."""
+    if not isinstance(default, (list, tuple)):
+        return next((test, name) for t, test, name in _SCALAR_KINDS if isinstance(default, t))
+    test, name = _kind(default[0])
+    size = len(default) if isinstance(default, tuple) else None
+    return (lambda v: isinstance(v, (list, tuple)) and 0 < len(v) == (size or len(v))
+            and all(map(test, v))), f"a list of {size or 'one or more'} entries, each {name}"
 
 
-def _check_angle_grid(grid, errors, name):
-    if not isinstance(grid, (list, tuple)) or not grid:
-        errors.append(f"{name} must be a nonempty list of angles")
-        return
-    for t in grid:
-        if not _is_real(t) or not 0.0 < t <= 90.0:
-            errors.append(f"{name} entries must lie in (0, 90], got {t!r}")
+def _domain_objects(experiment: str, p: dict) -> list:
+    """(label, constructor call) for each domain object a run with parameters p
+    builds; the constructors hold the range rules."""
+    built = [("theta_grid", partial(make_discrimination_pair, t))
+             for t in p.get("theta_grid", ())]
+    for key, build in (("theta_deg", make_discrimination_pair), ("truth", Candidate),
+                       ("start_angle_deg", state_from_angle),
+                       ("boundaries", lambda b: WalkBoundaries(*b))):
+        if key in p:
+            built.append((key, partial(build, p[key])))
+    sigmas = p.get("sigma_grid", [p["sigma"]] if "sigma" in p else [])
+    if not experiment.startswith("tsvf"):
+        return built + [("sigma", partial(PointerModel, s)) for s in sigmas]
+    etas = p.get("eta_grid", [e for e in (p.get("eta1"), p.get("eta2")) if e is not None])
+    setups = product(etas, p.get("g_grid", [p.get("g")]), sigmas)
+    return built + [("eta, g, sigma", partial(TsvfSetup, *c)) for c in setups]
 
 
 def validate(spec: ExperimentSpec) -> list[str]:
-    """All spec problems, as strings; empty means runnable."""
+    """All spec problems, as strings; empty means runnable. Each parameter must have
+    its default's JSON kind; then the run's domain objects are built, ValueErrors kept."""
+    if not isinstance(spec.experiment, str) or spec.experiment not in EXPERIMENTS:
+        return [f"unknown experiment {spec.experiment!r}; choose from {sorted(EXPERIMENTS)}"]
+    if not isinstance(spec.parameters, dict):
+        return [f"parameters must be a JSON object, got {spec.parameters!r}"]
     errors: list[str] = []
-    if spec.experiment not in EXPERIMENTS:
-        return [f"unknown experiment {spec.experiment!r}; "
-                f"choose from {sorted(EXPERIMENTS)}"]
     if not (_is_int(spec.master_seed) and 0 <= spec.master_seed < 2**64):
-        errors.append(f"master_seed must be an integer in [0, 2**64), "
-                      f"got {spec.master_seed!r}")
-    defaults = default_parameters(spec.experiment)
+        errors.append(f"master_seed must be an integer in [0, 2**64), got {spec.master_seed!r}")
+    if not isinstance(spec.output_dir, str):
+        errors.append(f"output_dir must be a string, got {spec.output_dir!r}")
+    defaults = EXPERIMENTS[spec.experiment][0]
     unknown = set(spec.parameters) - set(defaults)
     if unknown:
-        errors.append(f"unknown parameters for {spec.experiment}: {sorted(unknown)}")
+        errors.append(f"unknown parameters for {spec.experiment}: {sorted(unknown, key=str)}")
+        return errors
+    for key, value in spec.parameters.items():
+        test, kind = _kind(_NONE_DEFAULT_KINDS.get(key, defaults[key]))
+        if not (test(value) or (value is None and defaults[key] is None)):
+            errors.append(f"{key} must be {kind}, got {value!r}")
+    if errors:
         return errors
     params = {**defaults, **spec.parameters}
-
-    trials = params.get("trials")
-    if trials is not None and (not _is_int(trials) or trials < 1):
-        errors.append(f"trials must be an integer >= 1, got {trials!r}")
-    if spec.experiment in ("fig2", "fig3") and _is_int(trials) and trials < 30:
-        errors.append(f"{spec.experiment} needs trials >= 30 for the distribution fit")
-    if spec.experiment == "fig5" and _is_int(trials) and trials < 100:
-        errors.append("fig5 needs trials >= 100")
-    if spec.experiment == "fig6" and _is_int(trials) and trials < 1000:
-        errors.append("fig6 needs trials >= 1000")
-    for key in ("sigma", "g"):
-        if key in params and (not _is_real(params[key])
-                              or params[key] <= 0):
-            errors.append(f"{key} must be a positive finite number, got {params[key]!r}")
-    if "sigma_grid" in params:
-        if (not isinstance(params["sigma_grid"], (list, tuple))
-                or len(params["sigma_grid"]) < 1
-                or any(not _is_real(s) or s <= 0
-                       for s in params["sigma_grid"])):
-            errors.append(f"sigma_grid must be positive finite numbers, got {params['sigma_grid']!r}")
-    if "boundaries" in params:
-        _check_boundaries(params["boundaries"], errors)
-    if "theta_grid" in params:
-        _check_angle_grid(params["theta_grid"], errors, "theta_grid")
-    if "theta_deg" in params and not (_is_real(params["theta_deg"])
-                                      and 0.0 < params["theta_deg"] <= 90.0):
-        errors.append(f"theta_deg must lie in (0, 90], got {params['theta_deg']!r}")
-    if "start_angle_deg" in params and not (
-            _is_real(params["start_angle_deg"])
-            and 0.0 <= params["start_angle_deg"] <= 90.0):
-        errors.append(f"start_angle_deg must lie in [0, 90], "
-                      f"got {params['start_angle_deg']!r}")
-    if "m_values" in params:
-        ms = params["m_values"]
-        if (not isinstance(ms, (list, tuple)) or not ms
-                or any(not _is_int(m) or m < 1 for m in ms)):
-            errors.append(f"m_values must be integers >= 1, got {ms!r}")
-    if "max_steps" in params and params["max_steps"] is not None:
-        if not _is_int(params["max_steps"]) or params["max_steps"] < 1:
-            errors.append(f"max_steps must be an integer >= 1, got {params['max_steps']!r}")
-    if "eta_grid" in params:
-        for eta in params["eta_grid"]:
-            if not _is_real(eta) or not 0.0 < eta <= math.pi:
-                errors.append(f"eta_grid entries must lie in (0, pi], got {eta!r}")
-    for key in ("eta1", "eta2"):
-        if key in params and params[key] is not None:
-            if not _is_real(params[key]) or not 0.0 < params[key] <= math.pi:
-                errors.append(f"{key} must lie in (0, pi], got {params[key]!r}")
-    if "truth" in params and params["truth"] not in ("psi1", "psi2"):
-        errors.append(f"truth must be 'psi1' or 'psi2', got {params['truth']!r}")
-    if params.get("dump_trajectories") and spec.experiment not in ("fig2", "fig3"):
-        errors.append("dump_trajectories is only available for fig2 and fig3")
-    return errors
+    floor = _TRIAL_FLOORS.get(spec.experiment, 1)
+    if params.get("trials", floor) < floor:
+        errors.append(f"{spec.experiment} needs trials >= {floor}, got {params['trials']}")
+    for label, build in _domain_objects(spec.experiment, params):
+        try:
+            build()
+        except ValueError as exc:
+            errors.append(f"{label}: {exc}")
+    return list(dict.fromkeys(errors))
 
 
 def run(spec: ExperimentSpec) -> RunSummary:
     """Run an experiment, writing its CSVs and summary.json into output_dir.
 
-    Partial outputs are removed if the run fails or is interrupted.
+    Partial outputs are removed if the run fails or is interrupted. A spec
+    that `validate` rejects, or whose run fails on its numbers (a ValueError,
+    ArithmeticError or QuadratureError), raises SpecError.
     """
     errors = validate(spec)
     if errors:
@@ -419,9 +404,11 @@ def run(spec: ExperimentSpec) -> RunSummary:
     start = time.perf_counter()
     try:
         headline = EXPERIMENTS[spec.experiment][1](params, spec.master_seed, outdir, files)
-    except BaseException:
+    except BaseException as exc:
         for path in files:
             path.unlink(missing_ok=True)
+        if isinstance(exc, (ValueError, ArithmeticError, QuadratureError)):
+            raise SpecError([f"the run failed: {type(exc).__name__}: {exc}"]) from exc
         raise
     wall = time.perf_counter() - start
     summary = RunSummary(

@@ -33,7 +33,9 @@ class QubitState:
 
 
 def state_from_angle(a_deg: float) -> QubitState:
-    """State cos(a)|0> + sin(a)|1> for an angle in degrees."""
+    """State cos(a)|0> + sin(a)|1> for an angle a in [0, 90] degrees."""
+    if not 0.0 <= a_deg <= 90.0:
+        raise ValueError(f"angle must be in [0, 90] degrees, got {a_deg}")
     a = math.radians(a_deg)
     return QubitState(math.cos(a), math.sin(a))
 

@@ -27,6 +27,9 @@ PRNG_ALGORITHM = "numpy-pcg64/seedseq-spawn/ndtri-inverse-cdf"
 # rng.random() lies in [0, 1); clip away an exact 0.0 so ndtri stays finite.
 _MIN_UNIFORM = 1e-300
 
+# fewest samples `fit_lognormal` fits
+MIN_FIT_SAMPLES = 30
+
 
 def derive_generator(master_seed: int, *stream_path: int) -> np.random.Generator:
     """Deterministic, practically independent generator for one stream index.
@@ -78,8 +81,8 @@ def fit_lognormal(samples) -> LogNormalFit:
     sample is flagged degenerate instead of reporting a meaningless r_squared.
     """
     x = np.asarray(samples, dtype=float)
-    if x.size < 30:
-        raise ValueError(f"need at least 30 samples, got {x.size}")
+    if x.size < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples, got {x.size}")
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
         raise ValueError("samples must be positive and finite")
     logs = np.log(x)

@@ -161,19 +161,6 @@ def mean_fin(setup: TsvfSetup) -> float:
     )
 
 
-def mean_fin_from_weak_value(b: float, g: float, sigma: float) -> float:
-    """Conditional mean in the raw mixture form, from the weak value b directly.
-
-    Uses the closed Gaussian moments <X sin 2gX> = 2 g sigma^2 E and
-    <cos 2gX> = E with E = exp(-2 (g sigma)^2); algebraically identical to
-    the eta-parametrized `mean_fin`.
-    """
-    a_plus = 0.5 * (1.0 + b * b)
-    a_minus = 0.5 * (1.0 - b * b)
-    E = math.exp(-2.0 * (g * sigma) ** 2)
-    return b * 2.0 * g * sigma ** 2 * E / (a_plus + a_minus * E)
-
-
 def optimal_eta(g: float, sigma: float) -> tuple[float, float]:
     """Angle maximizing the conditional mean, and that maximum.
 

@@ -63,11 +63,6 @@ class PointerModel:
         if self.g < 0:
             raise ValueError(f"g must be nonnegative, got {self.g}")
 
-    @property
-    def shifts(self) -> tuple[float, float]:
-        """Needle displacement per z eigenstate, scaled by the coupling."""
-        return (self.g, -self.g)
-
 
 def _log_odds_of_angle(a_deg: float) -> float:
     """L = ln(alpha^2/beta^2) of the state at angle a; +inf at 0, -inf at 90."""
@@ -176,13 +171,7 @@ def posterior_weight(S, s0: QubitState, pm: PointerModel):
     with that sum. Accepts a scalar or an array of sums.
     """
     S_arr = np.asarray(S, dtype=float)
-    if s0.alpha == 0.0:
-        out = np.zeros_like(S_arr)
-    elif s0.beta == 0.0:
-        out = np.ones_like(S_arr)
-    else:
-        L0 = 2.0 * (math.log(abs(s0.alpha)) - math.log(abs(s0.beta)))
-        out = expit(L0 + (2.0 * pm.g * S_arr) / (pm.sigma * pm.sigma))
+    out = expit(state_log_odds(s0) + (2.0 * pm.g * S_arr) / (pm.sigma * pm.sigma))
     return float(out) if np.isscalar(S) else out
 
 
@@ -252,16 +241,8 @@ class WalkEnsemble:
     master_seed: int
     max_steps: int
 
-    @property
-    def trials(self) -> int:
-        return self.steps.size
-
     def fraction(self, label: Outcome) -> float:
         return float(np.mean(self.labels == label))
-
-    @property
-    def median_steps(self) -> float:
-        return float(np.median(self.steps))
 
 
 _BLOCK_STEPS = 32  # uniforms are prefetched per lane in blocks of 2 * this

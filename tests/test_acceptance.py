@@ -138,7 +138,7 @@ def test_c05_fig3_quadratic_scaling():
     for k, sigma in enumerate(sigmas):
         ens = run_ensemble(s0, PointerModel(sigma), wb, 10**4,
                            MASTER_SEED, seed_path=(5, k))
-        medians.append(ens.median_steps)
+        medians.append(float(np.median(ens.steps)))
     coeff, r2 = quadratic_scaling_fit(sigmas, medians)
     _finish("05 fig3-quadratic", r2 > 0.98,
             f"medians={medians}, c={coeff:.3f}, r2={r2:.5f}>0.98")

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weaksep.cli import main
 from weaksep.experiments import (
@@ -177,6 +182,13 @@ class TestFig6:
         assert levels[-1] == 1.0
         assert "3" in summary.headline["medians"]
 
+    def test_repeated_m_written_once(self, tmp_path):
+        params = {"m_values": [5, 3, 5], "trials": 1000}
+        summary = run(ExperimentSpec("fig6", params, 11, str(tmp_path)))
+        names = [Path(f).name for f in summary.files]
+        assert names == ["fig6_m5.csv", "fig6_m3.csv", "summary.json"]
+        assert json.loads((tmp_path / "summary.json").read_text())["files"] == summary.files[:-1]
+
 
 class TestTsvfReport:
     def test_schema_and_oracle_agreement(self, tmp_path):
@@ -265,6 +277,17 @@ class TestCli:
         ("fig2", {"trials": 40}, -1),
         ("fig2", {"trials": 40}, 2**64),
         ("fig2", {"trials": 40}, True),
+        ("fig2", 5, 1),
+        ("fig2", "ab", 1),
+        ([], {}, 1),
+        ("fig6", {"truth": "psi3"}, 1),
+        ("fig2", {"trials": 40, "dump_trajectories": "no"}, 1),
+        ("fig2", {"trials": 40, "boundaries": [1.0]}, 1),
+        ("fig2", {"trials": 40, "start_angle_deg": 95.0}, 1),
+        ("tsvf-report", {"eta_grid": 5}, 1),
+        ("tsvf-report", {"g_grid": [-1.0]}, 1),
+        ("tsvf-report", {"g_grid": ["a"]}, 1),
+        ("tsvf-report", {"g_grid": []}, 1),
     ])
     def test_bad_numbers_give_json_error_and_exit_2(self, tmp_path, capsys, experiment,
                                                     parameters, master_seed):
@@ -276,6 +299,41 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "invalid experiment spec"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment, parameters", [
+        ("tsvf-separation", {"g": 50}),
+        ("tsvf-separation", {"sigma": 1e300}),
+        ("tsvf-separation", {"sigma": 1e-300}),
+        ("tsvf-separation", {"g": 0}),
+        ("tsvf-report", {"g_grid": [50.0]}),
+        ("fig2", {"trials": 30, "sigma": 1e300}),
+        ("fig2", {"trials": 30, "sigma": 10**400}),
+        ("fig2", {"trials": 30, "sigma": 1e200, "max_steps": 3}),
+        ("fig2", {"trials": 30, "start_angle_deg": 0}),
+        ("fig3", {"trials": 30, "sigma_grid": [5.0], "dump_trajectories": True}),
+        ("fig4", {"trials": 1, "max_steps": 0}),
+        ("fig5", {"trials": 100, "m_values": [0]}),
+    ])
+    def test_failing_runs_give_json_error_and_exit_2(self, tmp_path, capsys, experiment,
+                                                     parameters):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "parameters": parameters,
+                                   "output_dir": str(tmp_path / "out")}))
+        assert main(["--config", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid experiment spec"
+        assert not [p for p in tmp_path.rglob("*") if p.suffix == ".csv"]
+        assert not list(tmp_path.rglob("summary.json"))
+
+    def test_bad_output_dir_gives_json_error_and_exit_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        for output_dir, error in ((5, "invalid experiment spec"),
+                                  (str(tmp_path / "file" / "x"), "cannot write outputs")):
+            cfg = tmp_path / "spec.json"
+            cfg.write_text(json.dumps({"experiment": "helstrom-table",
+                                       "output_dir": output_dir}))
+            assert main(["--config", str(cfg)]) == 2
+            assert json.loads(capsys.readouterr().err)["error"] == error
 
     def test_missing_experiment(self, capsys):
         assert main([]) == 2
@@ -306,3 +364,50 @@ class TestCli:
 
     def test_default_seed_documented(self):
         assert isinstance(DEFAULT_MASTER_SEED, int)
+
+
+# Edge values for the spec fuzzer: zero, negatives, extreme and non-finite
+# numbers, bools, strings, and lists that are empty or of the wrong length or
+# kind. The finite numbers lie in range for some parameters, so specs also run.
+EDGE_NUMBERS = [0, 1, -1, -2.5, 1e-300, 1e300, math.pi, 90.0]
+EDGE_SCALARS = [*EDGE_NUMBERS, math.nan, math.inf, -math.inf, True, False, "x"]
+edge_values = st.one_of(st.sampled_from([*EDGE_SCALARS, None]),
+                        st.lists(st.sampled_from(EDGE_SCALARS), max_size=3),
+                        st.lists(st.sampled_from(EDGE_NUMBERS), min_size=1, max_size=5))
+# trials at their floors and max_steps <= 64, so that every drawn spec runs
+# briefly; fig2 and fig3 get a sigma small enough for walks to collapse by then
+TINY = {"fig2": {"trials": 30, "max_steps": 64, "sigma": 2.0},
+        "fig3": {"trials": 30, "max_steps": 64, "sigma_grid": [1.0, 2.0, 3.0, 4.0]},
+        "fig4": {"trials": 1, "max_steps": 64}, "fig5": {"trials": 100},
+        "fig6": {"trials": 1000}}
+
+
+@st.composite
+def fuzzed_specs(draw):
+    name = draw(st.sampled_from(sorted(EXPERIMENTS)))
+    keys = sorted(EXPERIMENTS[name][0])
+    params = {**TINY.get(name, {}),
+              **draw(st.dictionaries(st.sampled_from(keys), edge_values, max_size=3))}
+    if "max_steps" in params and params["max_steps"] is None:
+        params["max_steps"] = 64  # the default cap of 200 sigma^2 steps is a long run
+    return name, params
+
+
+class TestSpecFuzz:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(fuzzed_specs())
+    def test_any_spec_runs_or_exits_2_with_json(self, spec):
+        name, params = spec
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "spec.json"
+            cfg.write_text(json.dumps({"experiment": name, "parameters": params,
+                                       "output_dir": str(Path(tmp) / "out")}))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["--config", str(cfg)])
+            assert code in (0, 2)
+            if code == 2:
+                assert "error" in json.loads(err.getvalue())
+                left = [p.name for p in Path(tmp).rglob("*")
+                        if p.suffix == ".csv" or p.name == "summary.json"]
+                assert left == []

@@ -69,6 +69,12 @@ def test_pair_symmetric_about_45(theta):
     assert s1.angle_deg - 45.0 == pytest.approx(45.0 - s2.angle_deg, abs=1e-12)
 
 
+def test_angle_outside_quadrant_rejected():
+    for a in (-1.0, 90.5, 10**400):
+        with pytest.raises(ValueError):
+            state_from_angle(a)
+
+
 def test_pair_rejects_bad_theta():
     for theta in (0.0, -5.0, 90.5):
         with pytest.raises(ValueError):

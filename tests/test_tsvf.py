@@ -16,7 +16,6 @@ from weaksep.tsvf import (
     analytic_moments,
     input_state_for_eta,
     mean_fin,
-    mean_fin_from_weak_value,
     needle_density,
     optimal_eta,
     quadrature_moments,
@@ -25,6 +24,20 @@ from weaksep.tsvf import (
     separation_report,
     weak_value,
 )
+
+
+def mean_fin_from_weak_value(b: float, g: float, sigma: float) -> float:
+    """Conditional mean in the raw mixture form, from the weak value b directly.
+
+    Uses the closed Gaussian moments <X sin 2gX> = 2 g sigma^2 E and
+    <cos 2gX> = E with E = exp(-2 (g sigma)^2); algebraically identical to
+    the eta-parametrized `mean_fin`.
+    """
+    a_plus = 0.5 * (1.0 + b * b)
+    a_minus = 0.5 * (1.0 - b * b)
+    E = math.exp(-2.0 * (g * sigma) ** 2)
+    return b * 2.0 * g * sigma ** 2 * E / (a_plus + a_minus * E)
+
 
 GRID_G = (0.01, 0.05, 0.1, 0.5)
 GRID_SIGMA = (1.0, 2.0, 5.0)
