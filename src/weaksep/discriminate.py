@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qubit import QubitState, helstrom_bound, make_discrimination_pair
-from .stats import binomial_stderr, derive_generator, empirical_cdf, EmpiricalCdf
+from .stats import binomial_stderr, empirical_cdf, EmpiricalCdf, LaneStreams
 from .walk import (
     Outcome,
     PointerModel,
@@ -233,21 +233,20 @@ def hypothesis_success_curves(
     stderr = {m: np.empty(thetas.size) for m in m_values}
     for k, theta in enumerate(thetas):
         psi1, psi2 = make_discrimination_pair(theta)
-        gens = [derive_generator(master_seed, k, i) for i in range(trials)]
-        u_truth = np.array([g.random() for g in gens])
-        truth_is_1 = u_truth < 0.5
+        streams = LaneStreams(master_seed, (k,), np.arange(trials))
+        truth_is_1 = streams.random(slice(None), 1)[:, 0] < 0.5
         L0 = np.where(truth_is_1, state_log_odds(psi1), state_log_odds(psi2))
         sums = np.zeros(trials)
         means = {}
-        for t, lanes, x, _ in _lockstep(L0, pm, None, m_values[-1], gens):
+        for t, lanes, x, _ in _lockstep(L0, pm, None, m_values[-1], streams):
             sums[lanes] += x
             if t in m_values:
                 means[t] = sums / t
         for m in m_values:
             mr = means[m]
             guess_is_1 = mr < 0.0
-            for i in np.nonzero(mr == 0.0)[0]:
-                guess_is_1[i] = gens[i].random() < 0.5
+            tied = np.nonzero(mr == 0.0)[0]  # a tie's coin: its stream's next uniform
+            guess_is_1[tied] = streams.random(tied, 1)[:, 0] < 0.5
             wins = int(np.sum(guess_is_1 == truth_is_1))
             success[m][k] = wins / trials
             stderr[m][k] = binomial_stderr(wins, trials)
@@ -270,10 +269,10 @@ def average_cdf(
         raise ValueError(f"trials must be >= {MIN_CDF_TRIALS}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    gens = [derive_generator(master_seed, i) for i in range(trials)]
+    streams = LaneStreams(master_seed, (), np.arange(trials))
     L0 = np.full(trials, state_log_odds(truth_state))
     sums = np.zeros(trials)
-    for _, lanes, x, _ in _lockstep(L0, pm, None, m, gens):
+    for _, lanes, x, _ in _lockstep(L0, pm, None, m, streams):
         sums[lanes] += x
     return empirical_cdf(sums / m)
 

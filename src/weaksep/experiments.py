@@ -79,12 +79,12 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows, files: list[Path]) -> None:
+    files.append(path)  # before writing, so that a failed run removes a partial file
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-    files.append(path)
 
 
 def _dump_trajectories(
@@ -99,6 +99,7 @@ def _dump_trajectories(
     seed_path: tuple[int, ...] = (),
 ) -> None:
     """Per-step trajectory dump; replays the back-action to recover the state path."""
+    files.append(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["trial", "step", "reading", "alpha", "beta"])
@@ -109,7 +110,6 @@ def _dump_trajectories(
             for t, x in enumerate(outcome.readings, start=1):
                 s = bias_update(s, float(x), pm)
                 writer.writerow([i, t, _fmt(float(x)), _fmt(s.alpha), _fmt(s.beta)])
-    files.append(path)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +345,8 @@ def _domain_objects(experiment: str, p: dict) -> list:
         if key in p:
             built.append((key, partial(build, p[key])))
     sigmas = p.get("sigma_grid", [p["sigma"]] if "sigma" in p else [])
+    if experiment == "fig3":  # the fit's rules on the grid, before any ensemble runs
+        built.append(("sigma_grid", partial(quadratic_scaling_fit, sigmas, sigmas)))
     if not experiment.startswith("tsvf"):
         return built + [("sigma", partial(PointerModel, s)) for s in sigmas]
     etas = p.get("eta_grid", [e for e in (p.get("eta1"), p.get("eta2")) if e is not None])
@@ -379,19 +381,21 @@ def validate(spec: ExperimentSpec) -> list[str]:
     floor = _TRIAL_FLOORS.get(spec.experiment, 1)
     if params.get("trials", floor) < floor:
         errors.append(f"{spec.experiment} needs trials >= {floor}, got {params['trials']}")
-    for label, build in _domain_objects(spec.experiment, params):
-        try:
-            build()
-        except ValueError as exc:
-            errors.append(f"{label}: {exc}")
+    with np.errstate(all="ignore"):  # only the rules' ValueErrors count here
+        for label, build in _domain_objects(spec.experiment, params):
+            try:
+                build()
+            except ValueError as exc:
+                errors.append(f"{label}: {exc}")
     return list(dict.fromkeys(errors))
 
 
 def run(spec: ExperimentSpec) -> RunSummary:
     """Run an experiment, writing its CSVs and summary.json into output_dir.
 
-    Partial outputs are removed if the run fails or is interrupted. A spec
-    that `validate` rejects, or whose run fails on its numbers (a ValueError,
+    Partial outputs are removed if the run fails or is interrupted, and so
+    are the directories the run created, while they are empty. A spec that
+    `validate` rejects, or whose run fails on its numbers (a ValueError,
     ArithmeticError or QuadratureError), raises SpecError.
     """
     errors = validate(spec)
@@ -399,6 +403,7 @@ def run(spec: ExperimentSpec) -> RunSummary:
         raise SpecError(errors)
     params = {**default_parameters(spec.experiment), **spec.parameters}
     outdir = Path(spec.output_dir)
+    created = [d for d in (outdir, *outdir.parents) if not d.exists()]  # deepest first
     outdir.mkdir(parents=True, exist_ok=True)
     files: list[Path] = []
     start = time.perf_counter()
@@ -407,6 +412,11 @@ def run(spec: ExperimentSpec) -> RunSummary:
     except BaseException as exc:
         for path in files:
             path.unlink(missing_ok=True)
+        for directory in created:
+            try:
+                directory.rmdir()
+            except OSError:  # not empty: something else writes there too
+                break
         if isinstance(exc, (ValueError, ArithmeticError, QuadratureError)):
             raise SpecError([f"the run failed: {type(exc).__name__}: {exc}"]) from exc
         raise

@@ -2,11 +2,19 @@
 
 Randomness contract
 -------------------
-All simulation randomness flows through numpy PCG64 generators. Independent
-per-trial streams are derived from a master seed with numpy's SeedSequence
-hash mixing, ``SeedSequence(master_seed, spawn_key=(stream_index,))``, so a
-trial's stream is a pure function of (master_seed, stream_index) and results
-do not depend on execution order.
+All simulation randomness is numpy's PCG64. Independent per-trial streams
+are derived from a master seed with numpy's SeedSequence hash mixing,
+``SeedSequence(master_seed, spawn_key=(*stream_path, stream_index))``, so a
+trial's stream is a pure function of (master_seed, stream_path,
+stream_index) and results do not depend on execution order.
+
+The streams have two forms. `derive_generator` is the scalar path: one numpy
+Generator per stream, used for single trials and as the oracle in tests.
+`LaneStreams` is the array form every ensemble draws from: the SeedSequence
+hash and PCG64 (O'Neill 2014) written over uint64 arrays, four words per
+lane (128-bit state and increment). Lane i of ``LaneStreams(seed, path,
+indices)`` yields the same doubles as ``derive_generator(seed, *path,
+indices[i]).random()``, bit for bit and in the same order.
 
 Gaussian variates are produced by the inverse-CDF transform of the uniform
 stream (one uniform double per variate, mapped through ndtri), never by
@@ -36,9 +44,214 @@ def derive_generator(master_seed: int, *stream_path: int) -> np.random.Generator
 
     The stream is a pure function of (master_seed, stream_path); nested paths
     namespace the streams of grid experiments, e.g. (theta_index, trial).
+    This is the scalar path; `LaneStreams` holds the same streams as arrays.
     """
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(stream_path))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+# numpy's SeedSequence hash (NEP 19): 32-bit words, 4-word pool
+_M32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list[int]:
+    """n as SeedSequence reads an integer: little-endian 32-bit words, [0] for 0."""
+    if n < 0:
+        raise ValueError(f"seeds and stream indices must be non-negative, got {n}")
+    words = [n & _M32]
+    n >>= 32
+    while n:
+        words.append(n & _M32)
+        n >>= 32
+    return words
+
+
+class _HashMix:
+    """SeedSequence's hashmix; its multiplier advances on every call, whatever
+    the value. Values are ints or uint64 arrays holding 32-bit words."""
+
+    def __init__(self):
+        self.const = _INIT_A
+
+    def __call__(self, value):
+        value = value ^ self.const
+        self.const = (self.const * _MULT_A) & _M32
+        value = (value * self.const) & _M32
+        return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+    return r ^ (r >> 16)
+
+
+# PCG64 (O'Neill 2014): 128-bit LCG state s -> s * mult + inc, XSL-RR output.
+# A 128-bit number is a (high, low) pair of uint64 arrays or np.uint64 scalars.
+# Arrays wrap silently where numpy scalars warn, so every operation that can
+# wrap has an array operand.
+_U32 = np.uint64(_M32)
+_SHIFT32 = np.uint64(32)
+
+
+_PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
+_MULT = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
+_ZERO = np.uint64(0), np.uint64(0)
+
+
+def _muladd128(a, b, c, out, scratch):
+    """out = a * b + c mod 2**128, in place. a, b and c broadcast to out's shape,
+    out may be a or c, and scratch holds three uint64 arrays of out's shape."""
+    (a_hi, a_lo), (b_hi, b_lo), (c_hi, c_lo), (hi, lo) = a, b, c, out
+    t, u, v = scratch
+    a0, a1 = a_lo & _U32, a_lo >> _SHIFT32
+    b0, b1 = b_lo & _U32, b_lo >> _SHIFT32
+    # the high word of a_lo * b_lo from 32-bit halves; no partial sum passes 2**64
+    np.multiply(a0, b0, out=t)
+    t >>= _SHIFT32
+    np.multiply(a1, b0, out=u)
+    t += u
+    np.multiply(a0, b1, out=u)
+    np.bitwise_and(t, _U32, out=v)
+    u += v
+    t >>= _SHIFT32
+    u >>= _SHIFT32
+    t += u
+    np.multiply(a1, b1, out=u)
+    t += u
+    # plus the cross terms that reach the high word
+    np.multiply(a_lo, b_hi, out=u)
+    t += u
+    np.multiply(a_hi, b_lo, out=u)
+    t += u
+    np.multiply(a_lo, b_lo, out=u)
+    np.add(u, c_lo, out=lo)
+    np.less(lo, u, out=v)  # carry of the low word
+    np.add(t, c_hi, out=hi)
+    hi += v
+
+
+def _scratch(shape):
+    return [np.empty(shape, dtype=np.uint64) for _ in range(3)]
+
+
+def _pcg_uniforms(hi, lo, out):
+    """Write to the float64 array `out` the doubles numpy's Generator.random
+    makes of PCG64 states (hi, lo), the top 53 bits of the XSL-RR output.
+    Overwrites hi and lo; out's memory holds the integer bits on the way."""
+    bits = out.view(np.uint64)
+    lo ^= hi
+    hi >>= np.uint64(58)  # rotate right by the top 6 bits of the state
+    np.right_shift(lo, hi, out=bits)
+    np.subtract(np.uint64(64), hi, out=hi)
+    hi &= np.uint64(63)
+    lo <<= hi
+    bits |= lo
+    bits >>= np.uint64(11)
+    np.multiply(bits, 1.0 / 9007199254740992.0, out=out)
+
+
+# A lane's next n states come in runs of LCG steps, each run started by a
+# jump s_j = A_j s_0 + C_j inc. Lanes are drawn _CHUNK_LANES at a time, so that
+# temporaries stay in cache, and fewer lanes get more, shorter runs, so that
+# each ufunc call still covers about _CALL_WIDTH states.
+_CALL_WIDTH = 8192
+_CHUNK_LANES = 1024
+_MAX_JUMP = 64
+
+
+def _jump_table(n: int):
+    """A_j = mult**j and C_j = the sum of mult**i for i < j, for j = 1..n, as
+    uint64 words a_hi, a_lo, c_hi, c_lo, each a column of n rows."""
+    a, c, rows = 1, 0, []
+    for _ in range(n):
+        a, c = (a * _PCG_MULT) % 2**128, (c * _PCG_MULT + 1) % 2**128
+        rows.append((a >> 64, a & (2**64 - 1), c >> 64, c & (2**64 - 1)))
+    return np.array(rows, dtype=np.uint64).T[:, :, None]
+
+
+_JUMPS = _jump_table(_MAX_JUMP)
+
+
+def _pcg_states(state, inc, n: int):
+    """States s_1..s_n of lanes whose state is s_0, one row per draw."""
+    width = state[0].size
+    runs = 1 if n > _MAX_JUMP else min(n, -(-_CALL_WIDTH // width))
+    steps = -(-n // runs)
+    runs = -(-n // steps)
+    # his[r, i], los[r, i]: state s_(r steps + i + 1) of every lane
+    his = np.empty((runs, steps, width), dtype=np.uint64)
+    los = np.empty_like(his)
+    a_hi, a_lo, c_hi, c_lo = _JUMPS[:, 0:runs * steps:steps]
+    scratch = _scratch((runs, width))
+    first = his[:, 0], los[:, 0]
+    _muladd128(inc, (c_hi, c_lo), _ZERO, first, scratch)
+    _muladd128(state, (a_hi, a_lo), first, first, scratch)
+    for i in range(1, steps):
+        _muladd128((his[:, i - 1], los[:, i - 1]), _MULT, inc, (his[:, i], los[:, i]), scratch)
+    return his.reshape(-1, width)[:n], los.reshape(-1, width)[:n]
+
+
+class LaneStreams:
+    """The streams of ``derive_generator(master_seed, *stream_path, i)`` for an
+    array of indices i, as four uint64 words per lane: PCG64's 128-bit state
+    and increment. Lane j draws exactly what its Generator would, bit for bit
+    and in the same order, without building one."""
+
+    def __init__(self, master_seed: int, stream_path: tuple[int, ...], indices):
+        index = np.asarray(indices, dtype=np.uint64)
+        hashmix = _HashMix()
+        # the spawn key is never empty, so the run entropy is zero-padded to the pool
+        entropy = _words(master_seed)
+        entropy += [0] * (_POOL_SIZE - len(entropy))
+        entropy += [w for p in stream_path for w in _words(p)]
+        pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+
+        def absorb(pool, word):
+            return [_mix(p, hashmix(word)) for p in pool]
+
+        for word in entropy[_POOL_SIZE:]:
+            pool = absorb(pool, word)
+        pool = absorb(pool, index & _U32)  # every index has a low word ...
+        high = index >> _SHIFT32  # ... and those >= 2**32 a second one
+        pool = [np.where(high > 0, q, p) for p, q in zip(pool, absorb(pool, high))]
+        # generate_state(4, uint64): 8 hashed pool words, paired little-endian
+        const, words = _INIT_B, []
+        for i in range(2 * _POOL_SIZE):
+            v = pool[i % _POOL_SIZE] ^ const
+            const = (const * _MULT_B) & _M32
+            v = (v * const) & _M32
+            words.append(v ^ (v >> 16))
+        seed_hi, seed_lo, seq_hi, seq_lo = (words[2 * k] | (words[2 * k + 1] << _SHIFT32)
+                                            for k in range(4))
+        # PCG64 seeding: inc = 2 seq + 1; s = inc + seed; s = s * mult + inc
+        inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
+        inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+        lo = inc_lo + seed_lo
+        hi = inc_hi + seed_hi + (lo < seed_lo)
+        _muladd128((hi, lo), _MULT, (inc_hi, inc_lo), (hi, lo), _scratch(index.shape))
+        self.hi, self.lo, self.inc_hi, self.inc_lo = hi, lo, inc_hi, inc_lo
+
+    def random(self, lanes, n: int) -> np.ndarray:
+        """The next n uniforms of each lane in `lanes` (an index array or a
+        slice), one row per lane, as each lane's ``Generator.random(n)``."""
+        hi, lo = self.hi[lanes], self.lo[lanes]
+        inc_hi, inc_lo = self.inc_hi[lanes], self.inc_lo[lanes]
+        out = np.empty((n, hi.size))
+        for start in range(0, hi.size, _CHUNK_LANES):
+            part = slice(start, start + _CHUNK_LANES)
+            his, los = _pcg_states((hi[part], lo[part]), (inc_hi[part], inc_lo[part]), n)
+            hi[part], lo[part] = his[-1], los[-1]
+            _pcg_uniforms(his, los, out[:, part])
+        self.hi[lanes], self.lo[lanes] = hi, lo
+        return out.T
 
 
 @dataclass

@@ -30,11 +30,12 @@ Engines
 The step is written twice: once in the scalar reference `run_walk`, and once
 in the private lockstep kernel `_lockstep`, which every ensemble uses (the
 collapse ensembles of `run_ensemble` and the fixed-m sign tests of
-`discriminate`). The kernel advances lane i on its own generator gens[i];
-ensembles give trial i the derived stream
-``stats.derive_generator(master_seed, *seed_path, i)``, so a trial's outcome
-is a pure function of (master_seed, seed_path, trial index) and is
-bit-identical to a standalone `run_walk` on the derived stream.
+`discriminate`). The kernel advances lane i on lane i of a
+`stats.LaneStreams`, the array form of the streams
+``stats.derive_generator(master_seed, *seed_path, i)``; no ensemble builds a
+Generator. A trial's outcome is a pure function of (master_seed, seed_path,
+trial index) and is bit-identical to a standalone `run_walk` on the derived
+Generator, which is the oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 from scipy.special import expit, ndtri
 
 from .qubit import QubitState
-from .stats import _MIN_UNIFORM, derive_generator
+from .stats import _MIN_UNIFORM, LaneStreams
 
 
 @dataclass(frozen=True)
@@ -245,11 +246,13 @@ class WalkEnsemble:
         return float(np.mean(self.labels == label))
 
 
-_BLOCK_STEPS = 32  # uniforms are prefetched per lane in blocks of 2 * this
+_BLOCK_STEPS = 32  # uniforms are drawn per lane in blocks of 2 * this
 
 
-def _lockstep(L, pm: PointerModel, wb: WalkBoundaries | None, max_steps: int, gens):
-    """The vectorized walk: lane i of L takes readings on its own stream gens[i].
+def _lockstep(L, pm: PointerModel, wb: WalkBoundaries | None, max_steps: int,
+              streams: LaneStreams):
+    """The vectorized walk: lane i of L takes readings on its own stream, lane i
+    of `streams`.
 
     A lane stops after the reading whose updated log-odds crosses a boundary
     of wb, or after max_steps readings; wb=None means no boundary, so every
@@ -268,9 +271,7 @@ def _lockstep(L, pm: PointerModel, wb: WalkBoundaries | None, max_steps: int, ge
     t = 0
     while active.size and t < max_steps:
         k = min(_BLOCK_STEPS, max_steps - t)
-        block = np.empty((active.size, 2 * k))
-        for row, lane in enumerate(active):
-            block[row] = gens[lane].random(2 * k)
+        block = streams.random(active, 2 * k)
         # rows of the block still walking and their lanes; slices when none can stop
         alive = np.ones(active.size, dtype=bool)
         rows = lanes = slice(None)
@@ -329,9 +330,9 @@ def run_ensemble(
                             np.full(trials, angle), sums, master_seed, max_steps)
 
     L = np.full(trials, state_log_odds(s0), dtype=float)
-    gens = [derive_generator(master_seed, *seed_path, i) for i in range(trials)]
+    streams = LaneStreams(master_seed, seed_path, np.arange(trials))
     steps = np.full(trials, max_steps, dtype=np.int64)
-    for t, lanes, x, crossed in _lockstep(L, pm, wb, max_steps, gens):
+    for t, lanes, x, crossed in _lockstep(L, pm, wb, max_steps, streams):
         sums[lanes] += x
         steps[crossed] = t
     # every lane took at least one step, so its final L tells how it ended

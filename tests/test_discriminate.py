@@ -22,7 +22,7 @@ from weaksep.qubit import (
     state_from_angle,
 )
 from weaksep.stats import derive_generator
-from weaksep.walk import PointerModel, WalkBoundaries
+from weaksep.walk import PointerModel, WalkBoundaries, run_ensemble, run_walk
 
 
 def test_candidate_of():
@@ -195,6 +195,35 @@ class TestHypothesisCurves:
                     wins += res.guess == res.truth
                 assert curves[m].success[k] == pytest.approx(wins / trials, abs=0.0)
 
+    def test_tied_means_take_the_next_uniforms_of_the_stream(self):
+        # with g = 0 and sigma the least subnormal, readings round to small
+        # multiples of it, so many means are exactly 0. A tie takes the next
+        # uniform of its trial's stream: after the truth and all 2 max(m)
+        # reading uniforms, one per tied m in increasing order.
+        pm = PointerModel(5e-324, g=0.0)
+        m_values, trials = [1, 2, 3], 200
+        with np.errstate(invalid="ignore"):  # the log-odds step is 0/0 here
+            curves = hypothesis_success_curves([50.0], m_values, pm, trials, 123)
+            psi1, psi2 = make_discrimination_pair(50.0)
+            wins, ties = dict.fromkeys(m_values, 0), 0
+            for i in range(trials):
+                rng = derive_generator(123, 0, i)
+                truth_state = psi1 if rng.random() < 0.5 else psi2
+                readings = run_walk(truth_state, pm, None, max(m_values), rng).readings
+                for m in m_values:
+                    total = 0.0
+                    for x in readings[:m].tolist():
+                        total += x
+                    if total / m == 0.0:
+                        ties += 1
+                        guess_is_1 = rng.random() < 0.5
+                    else:
+                        guess_is_1 = total / m < 0.0
+                    wins[m] += guess_is_1 == (truth_state is psi1)
+        assert ties > trials
+        for m in m_values:
+            assert curves[m].success[0] == wins[m] / trials
+
     def test_single_m_curve_is_the_multi_m_slice(self):
         pm = PointerModel(3.0)
         grid = [30.0, 60.0]
@@ -251,6 +280,19 @@ class TestAverageCdf:
         psi1, _ = make_discrimination_pair(50.0)
         with pytest.raises(ValueError):
             average_cdf(psi1, 5, PointerModel(3.0), 500, 118)
+
+
+def test_ensembles_build_no_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ensemble built a numpy Generator")
+
+    for name in ("Generator", "PCG64", "SeedSequence", "default_rng"):
+        monkeypatch.setattr(np.random, name, refuse)
+    psi1, _ = make_discrimination_pair(50.0)
+    pm = PointerModel(3.0)
+    run_ensemble(psi1, pm, WalkBoundaries(10.0, 80.0), 50, 1)
+    hypothesis_success_curves([50.0], [5], pm, 100, 1)
+    average_cdf(psi1, 5, pm, 1000, 1)
 
 
 class TestCollapseSuccessCurve:

@@ -53,6 +53,12 @@ class TestValidate:
         errors = validate(ExperimentSpec("fig5", {"dump_trajectories": True}))
         assert errors
 
+    def test_fig3_grid_rejected_by_the_fit_before_any_ensemble(self):
+        errors = validate(ExperimentSpec("fig3", {"sigma_grid": [5.0]}))
+        assert errors == ["sigma_grid: need at least 4 (sigma, median) pairs"]
+        errors = validate(ExperimentSpec("fig3", {"sigma_grid": [5.0, 5.0, 10.0, 15.0]}))
+        assert errors == ["sigma_grid: sigmas must be distinct"]
+
     def test_protocol_trial_floors(self):
         assert any("fig5" in e for e in
                    validate(ExperimentSpec("fig5", {"trials": 50})))
@@ -228,6 +234,21 @@ class TestFailureCleanup:
         assert not (tmp_path / "partial.csv").exists()
         assert not (tmp_path / "summary.json").exists()
 
+    def test_file_cut_off_mid_write_removed(self, tmp_path, monkeypatch):
+        import weaksep.experiments as exp
+
+        def rows():
+            yield [1]
+            raise RuntimeError("boom")
+
+        def broken(params, master_seed, outdir, files):
+            exp._write_csv(outdir / "partial.csv", ["a"], rows(), files)
+
+        monkeypatch.setitem(exp.EXPERIMENTS, "fig2", (exp.EXPERIMENTS["fig2"][0], broken))
+        with pytest.raises(RuntimeError):
+            run(ExperimentSpec("fig2", {"sigma": 5.0, "trials": 40}, 1, str(tmp_path / "out")))
+        assert not (tmp_path / "out").exists()
+
 
 class TestCli:
     def test_run_via_flags(self, tmp_path, capsys):
@@ -324,6 +345,20 @@ class TestCli:
         assert err["error"] == "invalid experiment spec"
         assert not [p for p in tmp_path.rglob("*") if p.suffix == ".csv"]
         assert not list(tmp_path.rglob("summary.json"))
+        assert not (tmp_path / "out").exists()
+
+    def test_failing_run_removes_only_the_directories_it_created(self, tmp_path, capsys):
+        failing = {"trials": 1, "max_steps": 0}
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for output_dir in (tmp_path / "a" / "b" / "out", kept):
+            cfg = tmp_path / "spec.json"
+            cfg.write_text(json.dumps({"experiment": "fig4", "parameters": failing,
+                                       "output_dir": str(output_dir)}))
+            assert main(["--config", str(cfg)]) == 2
+            assert json.loads(capsys.readouterr().err)["error"] == "invalid experiment spec"
+        assert not (tmp_path / "a").exists()
+        assert kept.is_dir() and not list(kept.iterdir())
 
     def test_bad_output_dir_gives_json_error_and_exit_2(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 from scipy.stats import kstest
 
 from weaksep.stats import (
+    LaneStreams,
     binomial_stderr,
     derive_generator,
     empirical_cdf,
@@ -26,6 +29,60 @@ class TestStreams:
         b = ndtri(np.maximum(derive_generator(9, 1).random(n), 1e-300))
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 0.01
+
+
+U64 = st.integers(0, 2**64 - 1)
+PATH_ENTRY = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+# subset sizes: one jump per draw for few lanes, runs of LCG steps for many,
+# and more than one chunk of lanes for the most
+SUBSET_SIZES = st.sampled_from([1, 2, 9, 60, 300, 1100, 1300])
+
+
+class TestLaneStreams:
+    """derive_generator is the oracle: lane j of LaneStreams(seed, path, idx)
+    must draw exactly what derive_generator(seed, *path, idx[j]) draws."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=U64, path=st.lists(PATH_ENTRY, max_size=2),
+           low=st.integers(0, 2**32 - 700), high=st.integers(2**32, 2**64 - 700),
+           data=st.data())
+    def test_lanes_draw_what_their_generators_draw(self, seed, path, low, high, data):
+        # lane indices below and at or above 2**32, interleaved, in one call
+        index = np.empty(1300, dtype=np.uint64)
+        index[0::2] = np.arange(low, low + 650, dtype=np.uint64)
+        index[1::2] = np.arange(high, high + 650, dtype=np.uint64)
+        gens = [derive_generator(seed, *path, int(i)) for i in index]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no uint64 overflow or cast warning
+            streams = LaneStreams(seed, tuple(path), index)
+            for _ in range(data.draw(st.integers(1, 4))):
+                k = data.draw(st.integers(1, 64))
+                size = data.draw(SUBSET_SIZES)
+                rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+                lanes = np.sort(rng.choice(index.size, size=size, replace=False))
+                block = streams.random(lanes, k)
+                want = np.array([gens[j].random(k) for j in lanes])
+                assert np.array_equal(block, want)
+
+    def test_whole_slice_and_long_draws(self):
+        streams = LaneStreams(5, (), np.arange(3))
+        gens = [derive_generator(5, i) for i in range(3)]
+        for k in (1, 100, 64):  # more than one jump table's worth, then a block
+            assert np.array_equal(streams.random(slice(None), k),
+                                  [g.random(k) for g in gens])
+
+    def test_negative_seed_or_path_rejected_as_numpy_does(self):
+        for seed, path in ((-1, ()), (3, (2, -5))):
+            with pytest.raises(ValueError):
+                derive_generator(seed, *path, 0)
+            with pytest.raises(ValueError):
+                LaneStreams(seed, path, np.arange(2))
+
+    def test_no_lanes(self):
+        streams = LaneStreams(5, (1,), np.arange(4))
+        assert streams.random(np.empty(0, dtype=np.intp), 3).shape == (0, 3)
+        assert np.array_equal(streams.random(slice(None), 2),
+                              [derive_generator(5, 1, i).random(2) for i in range(4)])
 
 
 class TestFitLognormal:
