@@ -1,10 +1,9 @@
-"""Decision protocols for telling the two candidate states apart.
-
-Two protocols are implemented:
+"""Decision protocols for telling the two candidate states apart, as ensembles.
 
 * iterative collapse: walk the state to an effective-collapse boundary, then
-  measure strongly; guess PSI1 (the candidate leaning toward |1>) when the
-  strong outcome is ONE;
+  measure strongly and guess PSI1 (the candidate leaning toward |1>) on ONE.
+  `collapse_success_curve` estimates the weak-process part: the fraction of
+  PSI1 walks that collapse toward |1>;
 * few-shot hypothesis testing: perform exactly m weak measurements with no
   collapse boundary, average the readings and decide by the sign of the
   average (negative means PSI1, since the |1> branch displaces the needle
@@ -20,23 +19,13 @@ common random numbers.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .qubit import QubitState, helstrom_bound, make_discrimination_pair
 from .stats import binomial_stderr, empirical_cdf, EmpiricalCdf, LaneStreams
-from .walk import (
-    Outcome,
-    PointerModel,
-    WalkBoundaries,
-    _lockstep,
-    run_ensemble,
-    run_walk,
-    state_log_odds,
-    strong_measure,
-)
+from .walk import Outcome, PointerModel, WalkBoundaries, _lockstep, run_ensemble, state_log_odds
 
 
 # fewest trials a sign-test success curve, and an average's CDF, is estimated from
@@ -47,157 +36,6 @@ MIN_CDF_TRIALS = 1000
 class Candidate(enum.Enum):
     PSI1 = "psi1"
     PSI2 = "psi2"
-
-
-def candidate_of(s: QubitState) -> Candidate:
-    """Which of the discrimination pair a state is: PSI1 sits above 45 degrees."""
-    angle = s.angle_deg
-    if angle > 45.0:
-        return Candidate.PSI1
-    if angle < 45.0:
-        return Candidate.PSI2
-    raise ValueError("state at exactly 45 degrees belongs to neither candidate")
-
-
-@dataclass
-class ProtocolResult:
-    """Outcome of one discrimination trial."""
-
-    guess: Candidate
-    truth: Candidate
-    statistic: float | None
-    steps: int
-    maxed_out: bool = False
-
-
-def iterative_trial(
-    truth_state: QubitState,
-    wb: WalkBoundaries,
-    pm: PointerModel,
-    max_steps: int | None,
-    rng: np.random.Generator,
-) -> ProtocolResult:
-    """Walk to a collapse boundary, then decide by a strong measurement."""
-    truth = candidate_of(truth_state)
-    outcome = run_walk(truth_state, pm, wb, max_steps, rng)
-    strong = strong_measure(outcome.final_state, rng)
-    guess = Candidate.PSI1 if strong == Outcome.ONE else Candidate.PSI2
-    return ProtocolResult(
-        guess=guess,
-        truth=truth,
-        statistic=None,
-        steps=outcome.steps,
-        maxed_out=outcome.label == Outcome.MAXED_OUT,
-    )
-
-
-def strong_zero_probability(angle_deg: float) -> float:
-    """P(strong measurement gives ZERO) for the state at the given angle."""
-    return math.cos(math.radians(angle_deg)) ** 2
-
-
-def compose_error(
-    weak_zero: float, weak_one: float, wb: WalkBoundaries, truth: Candidate
-) -> tuple[float, float]:
-    """Compose walk-branch frequencies with the analytic strong-measurement factors.
-
-    weak_zero and weak_one are the frequencies of collapsing toward |0> and
-    |1>; the strong factors are evaluated at the boundary angles. Returns
-    (error, success); the two sum to weak_zero + weak_one exactly.
-    """
-    f0 = strong_zero_probability(wb.a0_tilde)
-    f1 = strong_zero_probability(wb.a1_tilde)
-    if truth == Candidate.PSI1:
-        err = weak_zero * f0 + weak_one * f1
-    else:
-        err = weak_zero * (1.0 - f0) + weak_one * (1.0 - f1)
-    return err, (weak_zero + weak_one) - err
-
-
-@dataclass
-class ErrorDecomposition:
-    """Walk-branch frequencies composed with analytic strong-measurement factors."""
-
-    truth: Candidate
-    weak_zero: float
-    weak_one: float
-    strong_zero_from_a0: float
-    strong_zero_from_a1: float
-    error: float
-    success: float
-    stderr: float
-    maxed_fraction: float
-    trials: int
-
-
-def error_decomposition(
-    truth_state: QubitState,
-    wb: WalkBoundaries,
-    pm: PointerModel,
-    trials: int,
-    master_seed: int,
-    max_steps: int | None = None,
-) -> ErrorDecomposition:
-    """Estimate the two-factor error of the iterative protocol.
-
-    The weak-branch frequencies are taken among collapsed walks (walks that
-    exhaust the step budget are reported via maxed_fraction and excluded), so
-    error + success = 1 exactly. The Monte Carlo standard error reflects the
-    binomial uncertainty of the branch split.
-
-    Conjectured but not asserted: as the boundaries tighten toward the axes
-    the composed error appears to approach the projective-optimum error
-    (1 - sin theta)/2 from below; the record reports measured numbers only.
-    """
-    truth = candidate_of(truth_state)
-    ens = run_ensemble(truth_state, pm, wb, trials, master_seed, max_steps)
-    n_zero = int(np.sum(ens.labels == Outcome.ZERO))
-    n_one = int(np.sum(ens.labels == Outcome.ONE))
-    collapsed = n_zero + n_one
-    if collapsed == 0:
-        weak_zero = weak_one = err = success = se = float("nan")
-    else:
-        weak_zero = n_zero / collapsed
-        weak_one = n_one / collapsed
-        err, success = compose_error(weak_zero, weak_one, wb, truth)
-        f0 = strong_zero_probability(wb.a0_tilde)
-        f1 = strong_zero_probability(wb.a1_tilde)
-        se = abs(f1 - f0) * binomial_stderr(n_one, collapsed)
-    return ErrorDecomposition(
-        truth=truth,
-        weak_zero=weak_zero,
-        weak_one=weak_one,
-        strong_zero_from_a0=strong_zero_probability(wb.a0_tilde),
-        strong_zero_from_a1=strong_zero_probability(wb.a1_tilde),
-        error=err,
-        success=success,
-        stderr=se,
-        maxed_fraction=1.0 - collapsed / trials,
-        trials=trials,
-    )
-
-
-def hypothesis_trial(
-    truth_state: QubitState,
-    m: int,
-    pm: PointerModel,
-    rng: np.random.Generator,
-) -> ProtocolResult:
-    """Average exactly m weak readings and decide by the sign of the average."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    truth = candidate_of(truth_state)
-    total = 0.0
-    for x in run_walk(truth_state, pm, None, m, rng).readings.tolist():
-        total += x  # left to right, as the lockstep engines accumulate
-    mean = total / m
-    if mean < 0.0:
-        guess = Candidate.PSI1
-    elif mean > 0.0:
-        guess = Candidate.PSI2
-    else:
-        guess = Candidate.PSI1 if rng.random() < 0.5 else Candidate.PSI2
-    return ProtocolResult(guess=guess, truth=truth, statistic=mean, steps=m)
 
 
 @dataclass

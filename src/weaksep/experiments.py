@@ -24,11 +24,12 @@ from . import __version__
 from .discriminate import (MIN_CDF_TRIALS, MIN_CURVE_TRIALS, Candidate, average_cdf,
                            collapse_success_curve, hypothesis_success_curves)
 from .qubit import helstrom_bound, make_discrimination_pair, state_from_angle
-from .stats import (MIN_FIT_SAMPLES, PRNG_ALGORITHM, derive_generator, fit_lognormal,
+from .stats import (MIN_FIT_SAMPLES, PRNG_ALGORITHM, LaneStreams, fit_lognormal,
                     quadratic_scaling_fit)
 from .tsvf import (QuadratureError, TsvfSetup, analytic_moments, optimal_eta,
                    quadrature_moments, separation_report)
-from .walk import Outcome, PointerModel, WalkBoundaries, bias_update, run_ensemble, run_walk
+from .walk import (Outcome, PointerModel, WalkBoundaries, _lockstep, bias_update, run_ensemble,
+                   state_log_odds)
 
 DEFAULT_MASTER_SEED = 20260811
 
@@ -87,29 +88,43 @@ def _write_csv(path: Path, header: list[str], rows, files: list[Path]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _dump_trajectories(
-    path: Path,
-    s0,
-    pm: PointerModel,
-    wb: WalkBoundaries,
-    trials: int,
-    master_seed: int,
-    max_steps,
-    files: list[Path],
-    seed_path: tuple[int, ...] = (),
-) -> None:
-    """Per-step trajectory dump; replays the back-action to recover the state path."""
-    files.append(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["trial", "step", "reading", "alpha", "beta"])
-        for i in range(trials):
-            rng = derive_generator(master_seed, *seed_path, i)
-            outcome = run_walk(s0, pm, wb, max_steps, rng)
+_DUMP_READINGS = 1 << 20  # most readings (and lanes) the trajectory dump holds at once
+_TRAJECTORY_HEADER = ["trial", "step", "reading", "alpha", "beta"]
+
+
+def _trajectory_rows(s0, pm: PointerModel, wb: WalkBoundaries, steps, master_seed: int,
+                     seed_path: tuple[int, ...] = ()):
+    """Per-step rows of the ensemble whose trials took `steps` steps: the kernel's
+    readings on the ensemble's own streams, and `bias_update` iterated over them.
+
+    Trials go in chunks whose readings fit one buffer; a trial longer than it
+    is written as it walks. A lane's draws depend only on (master_seed,
+    seed_path, index), so the chunks leave them unchanged.
+    """
+    held = np.cumsum(steps + 1)  # readings plus lanes of trials 0..i
+    lo = 0
+    while lo < steps.size:
+        # the trials from lo on that fit the buffer, and at least one
+        limit = held[lo] - steps[lo] - 1 + _DUMP_READINGS
+        hi = max(lo + 1, int(np.searchsorted(held, limit, side="right")))
+        n = steps[lo:hi]
+        # a lane stops where its trial did: on crossing, or at the cap, which is then n.max()
+        walk = _lockstep(np.full(hi - lo, state_log_odds(s0)), pm, wb, int(n.max()),
+                         LaneStreams(master_seed, seed_path, np.arange(lo, hi)))
+        if hi == lo + 1:  # one trial, perhaps longer than the buffer: rows as it walks
+            walks = [((t, float(x[0])) for t, _, x, _ in walk)]
+        else:
+            start = np.cumsum(n) - n
+            readings = np.empty(int(n.sum()))
+            for t, lanes, x, _ in walk:
+                readings[start[lanes] + t - 1] = x
+            walks = (enumerate(xs.tolist(), start=1) for xs in np.split(readings, start[1:]))
+        for i, walked in enumerate(walks, start=lo):
             s = s0
-            for t, x in enumerate(outcome.readings, start=1):
-                s = bias_update(s, float(x), pm)
-                writer.writerow([i, t, _fmt(float(x)), _fmt(s.alpha), _fmt(s.beta)])
+            for t, x in walked:
+                s = bias_update(s, x, pm)
+                yield i, t, x, s.alpha, s.beta
+        lo = hi
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +150,8 @@ def _run_fig2(params, master_seed, outdir, files) -> dict:
     collapsed = ens.steps[ens.labels != Outcome.MAXED_OUT]
     fit = fit_lognormal(collapsed)
     if params["dump_trajectories"]:
-        _dump_trajectories(outdir / "fig2_trajectories.csv", s0, pm, wb, trials,
-                           master_seed, params["max_steps"], files)
+        _write_csv(outdir / "fig2_trajectories.csv", _TRAJECTORY_HEADER,
+                   _trajectory_rows(s0, pm, wb, ens.steps, master_seed), files)
     return {
         "mu_tilde": fit.mu_tilde,
         "sigma_tilde": fit.sigma_tilde,
@@ -159,13 +174,14 @@ def _run_fig3(params, master_seed, outdir, files) -> dict:
         ens = run_ensemble(s0, pm, wb, trials, master_seed,
                            params["max_steps"], seed_path=(k,))
         collapsed = ens.steps[ens.labels != Outcome.MAXED_OUT]
+        if not collapsed.size:
+            raise ValueError(f"no walk collapsed within max_steps at sigma {sigma}")
         med = float(np.median(collapsed))
         medians.append(med)
         rows.append((sigma, med, float(np.mean(collapsed)), trials))
         if params["dump_trajectories"]:
-            _dump_trajectories(
-                outdir / f"fig3_trajectories_sigma{sigma:g}.csv", s0, pm, wb,
-                trials, master_seed, params["max_steps"], files, seed_path=(k,))
+            _write_csv(outdir / f"fig3_trajectories_sigma{sigma:g}.csv", _TRAJECTORY_HEADER,
+                       _trajectory_rows(s0, pm, wb, ens.steps, master_seed, (k,)), files)
     _write_csv(outdir / "fig3_medians.csv",
                ["sigma", "median_steps", "mean_steps", "trials"], rows, files)
     coeff, r2 = quadratic_scaling_fit(params["sigma_grid"], medians)
@@ -396,7 +412,8 @@ def run(spec: ExperimentSpec) -> RunSummary:
     Partial outputs are removed if the run fails or is interrupted, and so
     are the directories the run created, while they are empty. A spec that
     `validate` rejects, or whose run fails on its numbers (a ValueError,
-    ArithmeticError or QuadratureError), raises SpecError.
+    ArithmeticError or QuadratureError) or on its size (a MemoryError),
+    raises SpecError.
     """
     errors = validate(spec)
     if errors:
@@ -417,7 +434,7 @@ def run(spec: ExperimentSpec) -> RunSummary:
                 directory.rmdir()
             except OSError:  # not empty: something else writes there too
                 break
-        if isinstance(exc, (ValueError, ArithmeticError, QuadratureError)):
+        if isinstance(exc, (ValueError, ArithmeticError, QuadratureError, MemoryError)):
             raise SpecError([f"the run failed: {type(exc).__name__}: {exc}"]) from exc
         raise
     wall = time.perf_counter() - start

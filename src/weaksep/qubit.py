@@ -40,16 +40,11 @@ def state_from_angle(a_deg: float) -> QubitState:
     return QubitState(math.cos(a), math.sin(a))
 
 
-def overlap(s1: QubitState, s2: QubitState) -> float:
-    """Inner product of two real-amplitude states."""
-    return s1.alpha * s2.alpha + s1.beta * s2.beta
-
-
 def make_discrimination_pair(theta_deg: float) -> tuple[QubitState, QubitState]:
     """The two candidate states separated by theta, symmetric about 45 degrees.
 
     Returns (psi1, psi2) at angles 45 + theta/2 and 45 - theta/2, so that
-    overlap(psi1, psi2) = cos(theta). psi1 leans toward |1>, psi2 toward |0>.
+    their inner product is cos(theta). psi1 leans toward |1>, psi2 toward |0>.
     """
     if not 0.0 < theta_deg <= 90.0:
         raise ValueError(f"theta must be in (0, 90] degrees, got {theta_deg}")
@@ -66,8 +61,3 @@ def helstrom_bound(theta_deg: float) -> float:
     if not 0.0 <= theta_deg <= 90.0:
         raise ValueError(f"theta must be in [0, 90] degrees, got {theta_deg}")
     return 0.5 * (1.0 + math.sin(math.radians(theta_deg)))
-
-
-def born_probabilities(s: QubitState) -> tuple[float, float]:
-    """(P(|0>), P(|1>)) for a strong measurement in the computational basis."""
-    return s.alpha * s.alpha, s.beta * s.beta

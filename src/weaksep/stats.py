@@ -8,9 +8,9 @@ are derived from a master seed with numpy's SeedSequence hash mixing,
 trial's stream is a pure function of (master_seed, stream_path,
 stream_index) and results do not depend on execution order.
 
-The streams have two forms. `derive_generator` is the scalar path: one numpy
-Generator per stream, used for single trials and as the oracle in tests.
-`LaneStreams` is the array form every ensemble draws from: the SeedSequence
+The streams have two forms. `derive_generator` is the scalar path, one numpy
+Generator per stream; only the tests' scalar walk draws from it.
+`LaneStreams` is the array form every walk draws from: the SeedSequence
 hash and PCG64 (O'Neill 2014) written over uint64 arrays, four words per
 lane (128-bit state and increment). Lane i of ``LaneStreams(seed, path,
 indices)`` yields the same doubles as ``derive_generator(seed, *path,

@@ -8,10 +8,10 @@ then post-selected on psi_fin. When the weak value of A is purely imaginary,
 
     p(x) = (cos(g x) + b sin(g x))^2 N(x; 0, sigma^2).
 
-Everything here is parametrized by the angle eta with b = cot(eta/2). The
-shipped construction uses psi_fin = (|0> + |1>)/sqrt(2), A = PAULI_Y and the
-input state family `input_state_for_eta`, for which the pre-coupling
-post-selection probability is sin^2(eta/2).
+Everything here is parametrized by the angle eta with b = cot(eta/2). One
+construction is psi_fin = (|0> + |1>)/sqrt(2), A = Pauli Y and the input
+state ((cos(eta/2) + sin(eta/2))|0> - (cos(eta/2) - sin(eta/2))|1>)/sqrt(2),
+for which the pre-coupling post-selection probability is sin^2(eta/2).
 
 Closed-form conditional moments (E = exp(-2 (g sigma)^2)):
 
@@ -19,8 +19,8 @@ Closed-form conditional moments (E = exp(-2 (g sigma)^2)):
     <X^2> = sigma^2 (1 - cos(eta) E (1 - 4 g^2 sigma^2)) / (1 - cos(eta) E)
 
 Each analytic expression is paired with an adaptive-quadrature oracle over
-the same density, and a rejection sampler draws exact conditional readings
-for Monte Carlo validation.
+the same density. The weak value itself and a rejection sampler of exact
+conditional readings are the tests' oracles, not part of the package.
 """
 
 from __future__ import annotations
@@ -30,17 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import ndtri
 
-from .qubit import QubitState
-from .stats import _MIN_UNIFORM
-
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-EQUAL_SUPERPOSITION = QubitState(math.sqrt(0.5), math.sqrt(0.5))
-
-_OBS_TOL = 1e-10
 QUAD_RANGE_SIGMAS = 12.0  # density mass beyond 12 sigma is < 1e-30 here
 QUAD_TOL = 1e-10
 
@@ -87,12 +77,6 @@ class TsvfSetup:
 
 
 @dataclass
-class WeakValue:
-    re: float
-    im: float
-
-
-@dataclass
 class MomentReport:
     """Conditional needle moments plus the post-selection bookkeeping.
 
@@ -106,51 +90,6 @@ class MomentReport:
     variance: float
     postselect_prob: float
     acceptance_prob: float
-
-
-def _validate_observable(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (2, 2):
-        raise ValueError("observable must be a 2x2 matrix")
-    if not np.allclose(a, a.conj().T, atol=_OBS_TOL, rtol=0.0):
-        raise ValueError("observable must be Hermitian")
-    if not np.allclose(a @ a, np.eye(2), atol=_OBS_TOL, rtol=0.0):
-        raise ValueError("observable must square to the identity")
-    return a
-
-
-def _amplitudes(state) -> np.ndarray:
-    if isinstance(state, QubitState):
-        return np.array([state.alpha, state.beta], dtype=complex)
-    arr = np.asarray(state, dtype=complex).reshape(2)
-    return arr
-
-
-def weak_value(psi_in, psi_fin, a) -> WeakValue:
-    """<psi_fin|A|psi_in> / <psi_fin|psi_in> for an involutory Hermitian A."""
-    a = _validate_observable(a)
-    v_in = _amplitudes(psi_in)
-    v_fin = _amplitudes(psi_fin)
-    den = complex(np.vdot(v_fin, v_in))
-    if abs(den) <= 1e-12:
-        raise ValueError("pre- and post-selection are orthogonal; weak value undefined")
-    num = complex(np.vdot(v_fin, a @ v_in))
-    w = num / den
-    return WeakValue(w.real, w.imag)
-
-
-def input_state_for_eta(eta: float) -> QubitState:
-    """Input state whose weak value against EQUAL_SUPERPOSITION and PAULI_Y is i cot(eta/2).
-
-    Amplitudes ((cos(eta/2)+sin(eta/2))/sqrt2, -(cos(eta/2)-sin(eta/2))/sqrt2);
-    the post-selection probability is sin^2(eta/2).
-    """
-    if not 0.0 < eta <= math.pi:
-        raise ValueError("eta must lie in (0, pi]")
-    c = math.cos(eta / 2.0)
-    s = math.sin(eta / 2.0)
-    inv_sqrt2 = math.sqrt(0.5)
-    return QubitState((c + s) * inv_sqrt2, -(c - s) * inv_sqrt2)
 
 
 def mean_fin(setup: TsvfSetup) -> float:
@@ -227,24 +166,6 @@ def quadrature_moments(setup: TsvfSetup) -> MomentReport:
     m2 = _quad(lambda x: x * x * dens(x), -lim, lim, setup.sigma ** 2 * mass) / mass
     acceptance = setup.postselect_prob * mass
     return MomentReport(m1, m2, m2 - m1 * m1, setup.postselect_prob, acceptance)
-
-
-def rejection_sample_batch(setup: TsvfSetup, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    """Accepted readings among n_draws attempts; stream-equivalent to n calls with n_draws=1.
-
-    Each attempt draws x ~ N(0, sigma^2) and accepts it with probability
-    sin^2(eta/2) (cos gx + b sin gx)^2, which never exceeds 1 since
-    sin^2(eta/2) (1 + b^2) = 1. Accepted readings follow the normalized
-    conditional density. Consumes two uniforms per attempt.
-    """
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
-    u = rng.random(2 * n_draws)
-    x = setup.sigma * ndtri(np.maximum(u[0::2], _MIN_UNIFORM))
-    p_accept = setup.postselect_prob * (
-        np.cos(setup.g * x) + setup.b * np.sin(setup.g * x)
-    ) ** 2
-    return x[u[1::2] < p_accept]
 
 
 @dataclass

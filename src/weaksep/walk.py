@@ -21,21 +21,17 @@ axis is treated as effective collapse.
 Randomness contract
 -------------------
 Every weak measurement consumes exactly two uniform doubles from the
-supplied generator: one for the branch choice (u < alpha^2 picks the +g
-branch) and one mapped through the inverse normal CDF for the needle noise.
-A strong measurement consumes one uniform.
+trial's stream: one for the branch choice (u < alpha^2 picks the +g branch)
+and one mapped through the inverse normal CDF for the needle noise.
 
-Engines
--------
-The step is written twice: once in the scalar reference `run_walk`, and once
-in the private lockstep kernel `_lockstep`, which every ensemble uses (the
-collapse ensembles of `run_ensemble` and the fixed-m sign tests of
-`discriminate`). The kernel advances lane i on lane i of a
-`stats.LaneStreams`, the array form of the streams
-``stats.derive_generator(master_seed, *seed_path, i)``; no ensemble builds a
-Generator. A trial's outcome is a pure function of (master_seed, seed_path,
-trial index) and is bit-identical to a standalone `run_walk` on the derived
-Generator, which is the oracle the tests compare against.
+Engine
+------
+The step is written once, in the private lockstep kernel `_lockstep`, and
+every walk runs on it: `run_ensemble`, the sign tests of `discriminate` and
+the trajectory dump of `experiments`. Lane i walks on lane i of a
+`stats.LaneStreams`, the array form of ``stats.derive_generator(master_seed,
+*seed_path, i)``, so a trial is a pure function of (master_seed, seed_path,
+index); the tests hold it to a scalar walk on that Generator, bit for bit.
 """
 
 from __future__ import annotations
@@ -105,22 +101,12 @@ class Outcome(enum.IntEnum):
     MAXED_OUT = 2
 
 
-@dataclass
-class WalkOutcome:
-    """One trajectory: readings in order, step count, final state, collapse label."""
-
-    steps: int
-    readings: np.ndarray
-    final_state: QubitState
-    label: Outcome
-
-
 def default_max_steps(pm: PointerModel) -> int:
     """Safety cap of 200 sigma^2 steps, far above observed collapse times."""
     return max(1, math.ceil(200.0 * pm.sigma * pm.sigma))
 
 
-# Shared scalar/vector arithmetic so single walks and lockstep ensembles
+# The step's arithmetic, shared with the tests' scalar walk so that the two
 # cannot drift apart numerically.
 
 def _reading_from_uniforms(p_zero, u_branch, u_noise, g, sigma):
@@ -131,10 +117,6 @@ def _reading_from_uniforms(p_zero, u_branch, u_noise, g, sigma):
 
 def _advanced_log_odds(L, x, g, sig2):
     return L + (2.0 * g * x) / sig2
-
-
-def _state_from_log_odds(L: float) -> QubitState:
-    return QubitState(math.sqrt(float(expit(L))), math.sqrt(float(expit(-L))))
 
 
 def state_log_odds(s: QubitState) -> float:
@@ -163,84 +145,12 @@ def bias_update(s: QubitState, x0: float, pm: PointerModel) -> QubitState:
     return QubitState(w0 / norm, w1 / norm)
 
 
-def posterior_weight(S, s0: QubitState, pm: PointerModel):
-    """P(next reading comes from the +g branch) given past readings summing to S.
-
-    The readings enter only through their sum: the posterior |0> weight is
-    1 / (1 + (beta0^2/alpha0^2) exp(-2 g S / sigma^2)), identical to the
-    |0> Born weight after iterating `bias_update` over any reading sequence
-    with that sum. Accepts a scalar or an array of sums.
-    """
-    S_arr = np.asarray(S, dtype=float)
-    out = expit(state_log_odds(s0) + (2.0 * pm.g * S_arr) / (pm.sigma * pm.sigma))
-    return float(out) if np.isscalar(S) else out
-
-
-def strong_measure(s: QubitState, rng: np.random.Generator) -> Outcome:
-    """Projective measurement in the computational basis (one uniform consumed)."""
-    return Outcome.ZERO if rng.random() < s.alpha * s.alpha else Outcome.ONE
-
-
-def run_walk(
-    s0: QubitState,
-    pm: PointerModel,
-    wb: WalkBoundaries | None,
-    max_steps: int | None,
-    rng: np.random.Generator,
-) -> WalkOutcome:
-    """Weak-measure repeatedly until a collapse boundary is crossed.
-
-    Stops at the first step whose updated state crosses either boundary (that
-    reading is included) or after max_steps (label MAXED_OUT). A start state
-    at or beyond a boundary returns immediately with 0 steps. With wb=None
-    there is no boundary: exactly max_steps readings are taken.
-    """
-    if max_steps is None:
-        max_steps = default_max_steps(pm)
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-
-    if wb is not None:
-        l_zero = wb.log_odds_zero
-        l_one = wb.log_odds_one
-        angle = s0.angle_deg
-        if angle <= wb.a0_tilde:
-            return WalkOutcome(0, np.empty(0), s0, Outcome.ZERO)
-        if angle >= wb.a1_tilde:
-            return WalkOutcome(0, np.empty(0), s0, Outcome.ONE)
-
-    sig2 = pm.sigma * pm.sigma
-    L = state_log_odds(s0)
-    readings = []
-    label = Outcome.MAXED_OUT
-    for _ in range(max_steps):
-        p = expit(L)
-        u1 = rng.random()
-        u2 = rng.random()
-        x = _reading_from_uniforms(p, u1, u2, pm.g, pm.sigma)
-        L = _advanced_log_odds(L, x, pm.g, sig2)
-        readings.append(float(x))
-        if wb is None:
-            continue
-        if L >= l_zero:
-            label = Outcome.ZERO
-            break
-        if L <= l_one:
-            label = Outcome.ONE
-            break
-    return WalkOutcome(len(readings), np.asarray(readings), _state_from_log_odds(L), label)
-
-
 @dataclass
 class WalkEnsemble:
     """Order-insensitive aggregate of independent walk trials."""
 
     steps: np.ndarray
     labels: np.ndarray
-    final_angles_deg: np.ndarray
-    reading_sums: np.ndarray
-    master_seed: int
-    max_steps: int
 
     def fraction(self, label: Outcome) -> float:
         return float(np.mean(self.labels == label))
@@ -259,8 +169,7 @@ def _lockstep(L, pm: PointerModel, wb: WalkBoundaries | None, max_steps: int,
     lane takes exactly max_steps readings. L is updated in place. After each
     step t this yields (t, lanes, x, crossed): the lanes that took the step
     (an index array into L, or slice(None) for all of them), their readings,
-    and the indices of the lanes that crossed a boundary on it. Each lane's
-    arithmetic and uniform stream are exactly those of `run_walk`.
+    and the indices of the lanes that crossed a boundary on it.
     """
     sig2 = pm.sigma * pm.sigma
     if wb is not None:
@@ -309,10 +218,10 @@ def run_ensemble(
 ) -> WalkEnsemble:
     """Run `trials` independent walks on derived per-trial streams.
 
-    Trial i consumes only the stream derived from (master_seed, *seed_path, i)
-    and its outcome equals run_walk on that stream exactly; trials are
-    advanced in lockstep purely for speed. seed_path namespaces ensembles that
-    share one master seed (e.g. grid points of a curve).
+    Trial i consumes only the stream derived from (master_seed, *seed_path, i),
+    so its outcome does not depend on the other trials; trials are advanced
+    in lockstep purely for speed. seed_path namespaces ensembles that share
+    one master seed (e.g. grid points of a curve).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -321,23 +230,19 @@ def run_ensemble(
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
 
-    sums = np.zeros(trials, dtype=float)
     angle = s0.angle_deg
     if angle <= wb.a0_tilde or angle >= wb.a1_tilde:
         crossed = Outcome.ZERO if angle <= wb.a0_tilde else Outcome.ONE
-        labels = np.full(trials, int(crossed), dtype=np.int8)
-        return WalkEnsemble(np.zeros(trials, dtype=np.int64), labels,
-                            np.full(trials, angle), sums, master_seed, max_steps)
+        return WalkEnsemble(np.zeros(trials, dtype=np.int64),
+                            np.full(trials, int(crossed), dtype=np.int8))
 
     L = np.full(trials, state_log_odds(s0), dtype=float)
     streams = LaneStreams(master_seed, seed_path, np.arange(trials))
     steps = np.full(trials, max_steps, dtype=np.int64)
-    for t, lanes, x, crossed in _lockstep(L, pm, wb, max_steps, streams):
-        sums[lanes] += x
+    for t, _, _, crossed in _lockstep(L, pm, wb, max_steps, streams):
         steps[crossed] = t
     # every lane took at least one step, so its final L tells how it ended
     labels = np.select([L >= wb.log_odds_zero, L <= wb.log_odds_one],
                        [int(Outcome.ZERO), int(Outcome.ONE)],
                        int(Outcome.MAXED_OUT)).astype(np.int8)
-    final_angles = np.degrees(np.arctan(np.exp(-0.5 * L)))
-    return WalkEnsemble(steps, labels, final_angles, sums, master_seed, max_steps)
+    return WalkEnsemble(steps, labels)

@@ -21,13 +21,13 @@ from scipy.integrate import quad, simpson
 from scipy.optimize import minimize_scalar
 from scipy.stats import kstest
 
+from oracles import born_probabilities, posterior_weight, rejection_sample_batch
 from weaksep.discriminate import (
     collapse_success_curve,
     average_cdf,
     hypothesis_success_curves,
 )
 from weaksep.qubit import (
-    born_probabilities,
     helstrom_bound,
     make_discrimination_pair,
     state_from_angle,
@@ -40,7 +40,6 @@ from weaksep.tsvf import (
     needle_density,
     optimal_eta,
     quadrature_moments,
-    rejection_sample_batch,
     separation_report,
 )
 from weaksep.walk import (
@@ -48,7 +47,6 @@ from weaksep.walk import (
     PointerModel,
     WalkBoundaries,
     bias_update,
-    posterior_weight,
     run_ensemble,
 )
 

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from oracles import (candidate_of, compose_error, error_decomposition, hypothesis_trial,
+                     iterative_trial, run_walk)
 from weaksep.discriminate import (
     Candidate,
     average_cdf,
-    candidate_of,
     collapse_success_curve,
-    compose_error,
-    error_decomposition,
     hypothesis_success_curves,
-    hypothesis_trial,
-    iterative_trial,
 )
+from weaksep.experiments import ExperimentSpec, run
 from weaksep.qubit import (
     QubitState,
     helstrom_bound,
@@ -22,7 +20,7 @@ from weaksep.qubit import (
     state_from_angle,
 )
 from weaksep.stats import derive_generator
-from weaksep.walk import PointerModel, WalkBoundaries, run_ensemble, run_walk
+from weaksep.walk import PointerModel, WalkBoundaries, run_ensemble
 
 
 def test_candidate_of():
@@ -282,7 +280,7 @@ class TestAverageCdf:
             average_cdf(psi1, 5, PointerModel(3.0), 500, 118)
 
 
-def test_ensembles_build_no_generator(monkeypatch):
+def test_ensembles_build_no_generator(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("an ensemble built a numpy Generator")
 
@@ -293,6 +291,8 @@ def test_ensembles_build_no_generator(monkeypatch):
     run_ensemble(psi1, pm, WalkBoundaries(10.0, 80.0), 50, 1)
     hypothesis_success_curves([50.0], [5], pm, 100, 1)
     average_cdf(psi1, 5, pm, 1000, 1)
+    run(ExperimentSpec("fig2", {"sigma": 3.0, "trials": 30, "dump_trajectories": True}, 1,
+                       str(tmp_path)))
 
 
 class TestCollapseSuccessCurve:

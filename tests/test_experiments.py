@@ -3,12 +3,14 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import run_walk
 from weaksep.cli import main
 from weaksep.experiments import (
     DEFAULT_MASTER_SEED,
@@ -19,6 +21,9 @@ from weaksep.experiments import (
     run,
     validate,
 )
+from weaksep.qubit import state_from_angle
+from weaksep.stats import derive_generator
+from weaksep.walk import PointerModel, WalkBoundaries, bias_update
 
 
 def read_csv(path):
@@ -152,6 +157,56 @@ class TestFig3:
             header, rows = read_csv(tmp_path / f"fig3_trajectories_sigma{sigma}.csv")
             assert header == ["trial", "step", "reading", "alpha", "beta"]
             assert rows
+
+    def test_every_walk_maxed_out_is_a_spec_error(self, tmp_path):
+        # at sigma 3 and 4 no walk collapses within 5 steps: no median to take
+        params = {"trials": 40, "sigma_grid": [1.0, 2.0, 3.0, 4.0], "max_steps": 5}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecError, match="sigma"):
+                run(ExperimentSpec("fig3", params, output_dir=str(tmp_path / "out")))
+
+
+def oracle_dump(s0, pm, wb, trials, master_seed, max_steps, seed_path=()):
+    """The trajectory dump's bytes from run_walk's readings and bias_update."""
+    lines = ["trial,step,reading,alpha,beta"]
+    for i in range(trials):
+        walk = run_walk(s0, pm, wb, max_steps, derive_generator(master_seed, *seed_path, i))
+        s = s0
+        for t, x in enumerate(walk.readings.tolist(), start=1):
+            s = bias_update(s, x, pm)
+            lines.append(f"{i},{t},{x!r},{s.alpha!r},{s.beta!r}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestTrajectoryDump:
+    @pytest.mark.parametrize("experiment, parameters, master_seed, buffer", [
+        # maxed-out walks, and walks longer than the kernel's 32-step blocks
+        ("fig2", {"sigma": 5.0, "trials": 80, "max_steps": 40}, 3, None),
+        ("fig2", {"sigma": 5.0, "trials": 30}, 2**64 - 1, None),
+        # a start on a boundary: no steps, header only
+        ("fig3", {"sigma_grid": [2.0, 3.0, 4.0, 5.0], "trials": 30, "start_angle_deg": 5.0},
+         8, None),
+        # a buffer of 40 readings: chunks of a few trials, and trials longer than it
+        ("fig3", {"sigma_grid": [2.0, 3.0, 4.0, 5.0], "trials": 30}, 8, 40),
+    ])
+    def test_rows_are_the_scalar_walks(self, tmp_path, monkeypatch, experiment, parameters,
+                                       master_seed, buffer):
+        if buffer is not None:
+            monkeypatch.setattr("weaksep.experiments._DUMP_READINGS", buffer)
+        params = {**default_parameters(experiment), **parameters, "dump_trajectories": True}
+        run(ExperimentSpec(experiment, params, master_seed, str(tmp_path)))
+        s0 = state_from_angle(params["start_angle_deg"])
+        wb = WalkBoundaries(*params["boundaries"])
+        if experiment == "fig2":
+            dumps = [("fig2_trajectories.csv", params["sigma"], ())]
+        else:
+            dumps = [(f"fig3_trajectories_sigma{sigma:g}.csv", sigma, (k,))
+                     for k, sigma in enumerate(params["sigma_grid"])]
+        for name, sigma, seed_path in dumps:
+            want = oracle_dump(s0, PointerModel(sigma), wb, params["trials"], master_seed,
+                               params["max_steps"], seed_path)
+            assert (tmp_path / name).read_bytes() == want, name
 
 
 class TestFig4:
@@ -334,6 +389,7 @@ class TestCli:
         ("fig3", {"trials": 30, "sigma_grid": [5.0], "dump_trajectories": True}),
         ("fig4", {"trials": 1, "max_steps": 0}),
         ("fig5", {"trials": 100, "m_values": [0]}),
+        ("fig6", {"trials": 10**15}),  # 7 PiB of lane indices: the allocation fails at once
     ])
     def test_failing_runs_give_json_error_and_exit_2(self, tmp_path, capsys, experiment,
                                                      parameters):

@@ -3,12 +3,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import born_probabilities, overlap
 from weaksep.qubit import (
     QubitState,
-    born_probabilities,
     helstrom_bound,
     make_discrimination_pair,
-    overlap,
     state_from_angle,
 )
 

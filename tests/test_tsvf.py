@@ -6,23 +6,19 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, simpson
 from scipy.stats import kstest
 
+from oracles import (EQUAL_SUPERPOSITION, PAULI_Y, PAULI_Z, input_state_for_eta,
+                     rejection_sample_batch, weak_value)
 from weaksep.qubit import QubitState
 from weaksep.stats import derive_generator
 from weaksep.tsvf import (
-    EQUAL_SUPERPOSITION,
-    PAULI_Y,
-    PAULI_Z,
     TsvfSetup,
     analytic_moments,
-    input_state_for_eta,
     mean_fin,
     needle_density,
     optimal_eta,
     quadrature_moments,
-    rejection_sample_batch,
     second_moment_fin,
     separation_report,
-    weak_value,
 )
 
 
