@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import lognorm, norm
 
 PRNG_ALGORITHM = "numpy-pcg64/seedseq-spawn/ndtri-inverse-cdf"
 
@@ -275,6 +274,24 @@ class LogNormalFit:
         return math.exp(self.mu_tilde)
 
 
+# The pdfs below perform scipy.stats' operations in scipy's order (squares as
+# products, which is what numpy's x**2 computes), so fits score bit for bit alike.
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _lognorm_pdf(c, s: float, scale: float):
+    """Log-normal density at c > 0: scipy.stats.lognorm.pdf(c, s, scale=scale)."""
+    y = c / scale
+    log_y = np.log(y)
+    return np.exp(-(log_y * log_y) / (2 * (s * s)) - np.log(s * y * _SQRT_2PI)) / scale
+
+
+def _norm_pdf(c, loc: float, scale: float):
+    """Normal density: scipy.stats.norm.pdf(c, loc, scale)."""
+    y = (c - loc) / scale
+    return np.exp(-(y * y) / 2.0) / _SQRT_2PI / scale
+
+
 def _histogram_r2(values, pdf) -> float:
     n_bins = int(np.ceil(np.log2(values.size))) + 1  # Sturges
     density, edges = np.histogram(values, bins=n_bins, density=True)
@@ -304,8 +321,8 @@ def fit_lognormal(samples) -> LogNormalFit:
     if sig < 1e-12:
         return LogNormalFit(mu, sig, float("nan"), x.size, degenerate=True)
 
-    r2 = _histogram_r2(x, lambda c: lognorm.pdf(c, s=sig, scale=math.exp(mu)))
-    r2_log = _histogram_r2(logs, lambda c: norm.pdf(c, loc=mu, scale=sig))
+    r2 = _histogram_r2(x, lambda c: _lognorm_pdf(c, sig, math.exp(mu)))
+    r2_log = _histogram_r2(logs, lambda c: _norm_pdf(c, mu, sig))
     return LogNormalFit(mu, sig, r2, x.size, r_squared_log_bins=r2_log)
 
 

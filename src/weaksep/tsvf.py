@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 QUAD_RANGE_SIGMAS = 12.0  # density mass beyond 12 sigma is < 1e-30 here
 QUAD_TOL = 1e-10
@@ -137,13 +136,24 @@ def needle_density(x, setup: TsvfSetup):
     """Unnormalized conditional reading density (cos gx + b sin gx)^2 N(x; 0, sigma^2).
 
     Includes the Gaussian normalizer, so the total mass is
-    a_plus + a_minus exp(-2 (g sigma)^2). Accepts scalars or arrays.
+    a_plus + a_minus exp(-2 (g sigma)^2). x is a float or a numpy array;
+    a float gives the same value as the matching entry of an array.
     """
-    x_arr = np.asarray(x, dtype=float)
     sig = setup.sigma
-    gauss = np.exp(-x_arr * x_arr / (2.0 * sig * sig)) / (sig * math.sqrt(2.0 * math.pi))
-    out = (np.cos(setup.g * x_arr) + setup.b * np.sin(setup.g * x_arr)) ** 2 * gauss
-    return float(out) if np.isscalar(x) else out
+    gauss = np.exp(-x * x / (2.0 * sig * sig)) / (sig * math.sqrt(2.0 * math.pi))
+    # np.float_power is libm's pow for a float and for each entry of an array,
+    # so both give the same value and the tsvf CSVs' quadrature columns stay
+    # pow's; `amp ** 2` calls pow on a float but squares an array, and the two
+    # differ in the last bit at about 1 point in 1,500
+    amp = np.cos(setup.g * x) + setup.b * np.sin(setup.g * x)
+    return np.float_power(amp, 2.0) * gauss
+
+
+def quad(f, lo, hi, **kw):
+    """scipy.integrate.quad, imported on the first call: only tsvf quadrature needs it."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(f, lo, hi, **kw)
 
 
 def _quad(f, lo, hi, scale: float):

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weaksep
 from oracles import run_walk
 from weaksep.cli import main
 from weaksep.experiments import (
@@ -273,6 +277,27 @@ class TestTsvfSeparation:
         assert row["bayes_error"] == pytest.approx(
             summary.headline["bayes_error"], abs=1e-12)
         assert 0.0 < row["bayes_error"] < 0.5
+
+
+class TestScipyImports:
+    def test_only_tsvf_quadrature_loads_scipy_integrate(self, tmp_path):
+        # a fresh interpreter: this one has imported both modules for the tests
+        script = (
+            "import json, sys\n"
+            "import weaksep.cli, weaksep.experiments\n"
+            "from weaksep.experiments import ExperimentSpec, run\n"
+            "names = ('scipy.stats', 'scipy.integrate')\n"
+            "before = [n for n in names if n in sys.modules]\n"
+            f"run(ExperimentSpec('tsvf-separation', {{}}, 1, {str(tmp_path)!r}))\n"
+            "print(json.dumps([before, [n for n in names if n in sys.modules]]))\n"
+        )
+        src = str(Path(weaksep.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", script],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True, timeout=120)
+        before, after = json.loads(out.stdout)
+        assert before == []
+        assert after == ["scipy.integrate"]
 
 
 class TestFailureCleanup:

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
-from scipy.stats import kstest
+from scipy.stats import kstest, lognorm, norm
 
 from weaksep.stats import (
     LaneStreams,
+    _histogram_r2,
+    _lognorm_pdf,
+    _norm_pdf,
     binomial_stderr,
     derive_generator,
     empirical_cdf,
@@ -115,6 +118,37 @@ class TestFitLognormal:
             fit_lognormal([1.0, 2.0, 0.0] * 20)
         with pytest.raises(ValueError):
             fit_lognormal([1.0] * 10)
+
+    def test_scores_are_scipys(self):
+        rng = derive_generator(23)
+        samples = np.exp(6.3 + 0.4 * ndtri(np.maximum(rng.random(4000), 1e-300)))
+        fit = fit_lognormal(samples)
+        mu, sig = fit.mu_tilde, fit.sigma_tilde
+        assert fit.r_squared == _histogram_r2(
+            samples, lambda c: lognorm.pdf(c, s=sig, scale=math.exp(mu)))
+        assert fit.r_squared_log_bins == _histogram_r2(
+            np.log(samples), lambda c: norm.pdf(c, loc=mu, scale=sig))
+
+
+positive = st.floats(min_value=1e-6, max_value=1e6)
+spreads = st.floats(min_value=1e-3, max_value=10.0)
+points = st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=20)
+
+
+class TestPdfs:
+    """The fit's pdfs equal scipy.stats' bit for bit, so its scores do too."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(positive, min_size=1, max_size=20), spreads, positive)
+    def test_lognorm_is_scipys(self, c, s, scale):
+        c = np.array(c)
+        assert np.array_equal(_lognorm_pdf(c, s, scale), lognorm.pdf(c, s=s, scale=scale))
+
+    @settings(max_examples=200, deadline=None)
+    @given(points, st.floats(min_value=-1e6, max_value=1e6), positive)
+    def test_norm_is_scipys(self, c, loc, scale):
+        c = np.array(c)
+        assert np.array_equal(_norm_pdf(c, loc, scale), norm.pdf(c, loc=loc, scale=scale))
 
 
 class TestQuadraticScalingFit:
