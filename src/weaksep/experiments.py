@@ -80,6 +80,8 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows, files: list[Path]) -> None:
+    if path in files:  # e.g. two sigmas that print alike in a file name
+        raise ValueError(f"two outputs of the run would both be {path.name}")
     files.append(path)  # before writing, so that a failed run removes a partial file
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

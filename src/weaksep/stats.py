@@ -8,13 +8,12 @@ are derived from a master seed with numpy's SeedSequence hash mixing,
 trial's stream is a pure function of (master_seed, stream_path,
 stream_index) and results do not depend on execution order.
 
-The streams have two forms. `derive_generator` is the scalar path, one numpy
-Generator per stream; only the tests' scalar walk draws from it.
-`LaneStreams` is the array form every walk draws from: the SeedSequence
-hash and PCG64 (O'Neill 2014) written over uint64 arrays, four words per
-lane (128-bit state and increment). Lane i of ``LaneStreams(seed, path,
-indices)`` yields the same doubles as ``derive_generator(seed, *path,
-indices[i]).random()``, bit for bit and in the same order.
+Every walk draws from the one stream form, `LaneStreams`: four uint64 words
+per lane (PCG64's 128-bit state and increment), no Generator. numpy's
+SeedSequence hashes the seed and path all lanes share; the index words and
+PCG64 (O'Neill 2014) are written over uint64 arrays. Lane i of
+``LaneStreams(seed, path, indices)`` yields the doubles of a Generator on
+``PCG64(SeedSequence(seed, spawn_key=(*path, indices[i])))``, bit for bit.
 
 Gaussian variates are produced by the inverse-CDF transform of the uniform
 stream (one uniform double per variate, mapped through ndtri), never by
@@ -38,17 +37,6 @@ _MIN_UNIFORM = 1e-300
 MIN_FIT_SAMPLES = 30
 
 
-def derive_generator(master_seed: int, *stream_path: int) -> np.random.Generator:
-    """Deterministic, practically independent generator for one stream index.
-
-    The stream is a pure function of (master_seed, stream_path); nested paths
-    namespace the streams of grid experiments, e.g. (theta_index, trial).
-    This is the scalar path; `LaneStreams` holds the same streams as arrays.
-    """
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(stream_path))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 # numpy's SeedSequence hash (NEP 19): 32-bit words, 4-word pool
 _M32 = 0xFFFFFFFF
 _POOL_SIZE = 4
@@ -57,28 +45,17 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _words(n: int) -> list[int]:
-    """n as SeedSequence reads an integer: little-endian 32-bit words, [0] for 0."""
-    if n < 0:
-        raise ValueError(f"seeds and stream indices must be non-negative, got {n}")
-    words = [n & _M32]
-    n >>= 32
-    while n:
-        words.append(n & _M32)
-        n >>= 32
-    return words
-
-
 class _HashMix:
-    """SeedSequence's hashmix; its multiplier advances on every call, whatever
-    the value. Values are ints or uint64 arrays holding 32-bit words."""
+    """SeedSequence's hashmix after `calls` calls; its multiplier advances on every
+    call, whatever the value. Values are ints or uint64 arrays of 32-bit words."""
 
-    def __init__(self):
-        self.const = _INIT_A
+    def __init__(self, init: int, mult: int, calls: int = 0):
+        self.const = init * pow(mult, calls, 2**32) & _M32
+        self.mult = mult
 
     def __call__(self, value):
         value = value ^ self.const
-        self.const = (self.const * _MULT_A) & _M32
+        self.const = (self.const * self.mult) & _M32
         value = (value * self.const) & _M32
         return value ^ (value >> 16)
 
@@ -195,39 +172,31 @@ def _pcg_states(state, inc, n: int):
 
 
 class LaneStreams:
-    """The streams of ``derive_generator(master_seed, *stream_path, i)`` for an
-    array of indices i, as four uint64 words per lane: PCG64's 128-bit state
-    and increment. Lane j draws exactly what its Generator would, bit for bit
-    and in the same order, without building one."""
+    """The streams ``PCG64(SeedSequence(master_seed, spawn_key=(*stream_path,
+    i)))`` for an array of indices i, as four uint64 words per lane: PCG64's
+    128-bit state and increment. Lane j draws exactly what a Generator on its
+    stream would, bit for bit and in the same order, without building one."""
 
     def __init__(self, master_seed: int, stream_path: tuple[int, ...], indices):
         index = np.asarray(indices, dtype=np.uint64)
-        hashmix = _HashMix()
-        # the spawn key is never empty, so the run entropy is zero-padded to the pool
-        entropy = _words(master_seed)
-        entropy += [0] * (_POOL_SIZE - len(entropy))
-        entropy += [w for p in stream_path for w in _words(p)]
-        pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        # numpy hashes what every lane shares, the seed (zero-padded to the pool)
+        # and the path, and raises ValueError on a negative one
+        shared = np.random.SeedSequence(master_seed, spawn_key=tuple(stream_path))
+        pool = [int(w) for w in shared.pool]
+        seed_words, *path_words = (max(1, -(-int(v).bit_length() // 32))  # 1 for 0
+                                   for v in (master_seed, *stream_path))
+        # numpy mixed the n shared words with _POOL_SIZE * n hashmix calls (fill, cross, absorb)
+        n = max(_POOL_SIZE, seed_words) + sum(path_words)
+        hashmix = _HashMix(_INIT_A, _MULT_A, calls=_POOL_SIZE * n)
 
         def absorb(pool, word):
             return [_mix(p, hashmix(word)) for p in pool]
 
-        for word in entropy[_POOL_SIZE:]:
-            pool = absorb(pool, word)
         pool = absorb(pool, index & _U32)  # every index has a low word ...
         high = index >> _SHIFT32  # ... and those >= 2**32 a second one
         pool = [np.where(high > 0, q, p) for p, q in zip(pool, absorb(pool, high))]
-        # generate_state(4, uint64): 8 hashed pool words, paired little-endian
-        const, words = _INIT_B, []
-        for i in range(2 * _POOL_SIZE):
-            v = pool[i % _POOL_SIZE] ^ const
-            const = (const * _MULT_B) & _M32
-            v = (v * const) & _M32
-            words.append(v ^ (v >> 16))
+        # generate_state(4, uint64): the pool hashed twice over, paired little-endian
+        words = list(map(_HashMix(_INIT_B, _MULT_B), pool * 2))
         seed_hi, seed_lo, seq_hi, seq_lo = (words[2 * k] | (words[2 * k + 1] << _SHIFT32)
                                             for k in range(4))
         # PCG64 seeding: inc = 2 seq + 1; s = inc + seed; s = s * mult + inc

@@ -29,9 +29,10 @@ Engine
 The step is written once, in the private lockstep kernel `_lockstep`, and
 every walk runs on it: `run_ensemble`, the sign tests of `discriminate` and
 the trajectory dump of `experiments`. Lane i walks on lane i of a
-`stats.LaneStreams`, the array form of ``stats.derive_generator(master_seed,
-*seed_path, i)``, so a trial is a pure function of (master_seed, seed_path,
-index); the tests hold it to a scalar walk on that Generator, bit for bit.
+`stats.LaneStreams`, the stream ``SeedSequence(master_seed,
+spawn_key=(*seed_path, i))`` as uint64 words, so a trial is a pure function
+of (master_seed, seed_path, index); the tests hold it to a scalar walk on a
+Generator of that stream, bit for bit.
 """
 
 from __future__ import annotations

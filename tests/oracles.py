@@ -1,9 +1,11 @@
 """The scalar reference the tests hold the package to, one trial at a time.
 
-The package walks on one lockstep kernel over array streams; `run_walk` here
-takes one trial's readings from its `derive_generator` Generator, and the
-decision protocols build on it. Also: Born weights, weak values, and a
-rejection sampler of post-selected readings. The package never imports this.
+The package draws from one stream form, `stats.LaneStreams`, and walks on one
+lockstep kernel over it. Here `derive_generator` builds one trial's stream as
+a numpy Generator, the form each lane of `LaneStreams` must match bit for
+bit; `run_walk` takes one trial's readings from it, and the decision
+protocols build on it. Also: Born weights, weak values, and a rejection
+sampler of post-selected readings. The package never imports this.
 """
 
 from __future__ import annotations
@@ -21,6 +23,19 @@ from weaksep.tsvf import TsvfSetup
 from weaksep.walk import (Outcome, PointerModel, WalkBoundaries, _advanced_log_odds,
                           _reading_from_uniforms, default_max_steps, run_ensemble,
                           state_log_odds)
+
+
+# stats, moved out of weaksep.stats
+
+def derive_generator(master_seed: int, *stream_path: int) -> np.random.Generator:
+    """Deterministic, practically independent generator for one stream index.
+
+    The stream is a pure function of (master_seed, stream_path); nested paths
+    namespace the streams of grid experiments, e.g. (theta_index, trial).
+    This is the scalar path; `LaneStreams` holds the same streams as arrays.
+    """
+    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(stream_path))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 # qubit, moved out of weaksep.qubit

@@ -21,7 +21,8 @@ from scipy.integrate import quad, simpson
 from scipy.optimize import minimize_scalar
 from scipy.stats import kstest
 
-from oracles import born_probabilities, posterior_weight, rejection_sample_batch
+from oracles import (born_probabilities, derive_generator, posterior_weight,
+                     rejection_sample_batch)
 from weaksep.discriminate import (
     collapse_success_curve,
     average_cdf,
@@ -32,7 +33,7 @@ from weaksep.qubit import (
     make_discrimination_pair,
     state_from_angle,
 )
-from weaksep.stats import derive_generator, fit_lognormal, quadratic_scaling_fit
+from weaksep.stats import fit_lognormal, quadratic_scaling_fit
 from weaksep.tsvf import (
     TsvfSetup,
     analytic_moments,

@@ -1,11 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from oracles import (candidate_of, compose_error, error_decomposition, hypothesis_trial,
-                     iterative_trial, run_walk)
+from oracles import (candidate_of, compose_error, derive_generator, error_decomposition,
+                     hypothesis_trial, iterative_trial, run_walk)
 from weaksep.discriminate import (
     Candidate,
     average_cdf,
@@ -19,7 +20,7 @@ from weaksep.qubit import (
     make_discrimination_pair,
     state_from_angle,
 )
-from weaksep.stats import derive_generator
+from weaksep.stats import LaneStreams
 from weaksep.walk import PointerModel, WalkBoundaries, run_ensemble
 
 
@@ -284,15 +285,34 @@ def test_ensembles_build_no_generator(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("an ensemble built a numpy Generator")
 
-    for name in ("Generator", "PCG64", "SeedSequence", "default_rng"):
+    for name in ("Generator", "PCG64", "default_rng"):
         monkeypatch.setattr(np.random, name, refuse)
+    # LaneStreams takes the seed hash its lanes share from one SeedSequence;
+    # the count is per LaneStreams built, never per trial
+    built = Counter()
+
+    def counted(kind, build):
+        def wrapper(*args, **kwargs):
+            built[kind] += 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted("SeedSequence", np.random.SeedSequence))
+    monkeypatch.setattr(LaneStreams, "__init__", counted("LaneStreams", LaneStreams.__init__))
     psi1, _ = make_discrimination_pair(50.0)
     pm = PointerModel(3.0)
-    run_ensemble(psi1, pm, WalkBoundaries(10.0, 80.0), 50, 1)
-    hypothesis_success_curves([50.0], [5], pm, 100, 1)
-    average_cdf(psi1, 5, pm, 1000, 1)
-    run(ExperimentSpec("fig2", {"sigma": 3.0, "trials": 30, "dump_trajectories": True}, 1,
-                       str(tmp_path)))
+    ensembles = [
+        (lambda: run_ensemble(psi1, pm, WalkBoundaries(10.0, 80.0), 50, 1), 1),
+        (lambda: hypothesis_success_curves([50.0], [5], pm, 100, 1), 1),
+        (lambda: average_cdf(psi1, 5, pm, 1000, 1), 1),
+        # the ensemble, then one chunk of the trajectory dump
+        (lambda: run(ExperimentSpec("fig2", {"sigma": 3.0, "trials": 30,
+                                             "dump_trajectories": True}, 1, str(tmp_path))), 2),
+    ]
+    for ensemble, streams in ensembles:
+        built.clear()
+        ensemble()
+        assert built == {"SeedSequence": streams, "LaneStreams": streams}
 
 
 class TestCollapseSuccessCurve:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weaksep
-from oracles import run_walk
+from oracles import derive_generator, run_walk
 from weaksep.cli import main
 from weaksep.experiments import (
     DEFAULT_MASTER_SEED,
@@ -26,7 +26,6 @@ from weaksep.experiments import (
     validate,
 )
 from weaksep.qubit import state_from_angle
-from weaksep.stats import derive_generator
 from weaksep.walk import PointerModel, WalkBoundaries, bias_update
 
 
@@ -415,6 +414,8 @@ class TestCli:
         ("fig4", {"trials": 1, "max_steps": 0}),
         ("fig5", {"trials": 100, "m_values": [0]}),
         ("fig6", {"trials": 10**15}),  # 7 PiB of lane indices: the allocation fails at once
+        ("fig3", {"trials": 40, "sigma_grid": [2.0, 2.0000001, 3.0, 4.0],
+                  "dump_trajectories": True}),  # two dumps named ..._sigma2.csv
     ])
     def test_failing_runs_give_json_error_and_exit_2(self, tmp_path, capsys, experiment,
                                                      parameters):

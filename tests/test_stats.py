@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 from scipy.stats import kstest, lognorm, norm
 
+from oracles import derive_generator
 from weaksep.stats import (
     LaneStreams,
     _histogram_r2,
     _lognorm_pdf,
     _norm_pdf,
     binomial_stderr,
-    derive_generator,
     empirical_cdf,
     fit_lognormal,
     quadratic_scaling_fit,
@@ -34,8 +34,11 @@ class TestStreams:
         assert abs(corr) < 0.01
 
 
-U64 = st.integers(0, 2**64 - 1)
-PATH_ENTRY = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+# seeds and path entries of one or two 32-bit words, and of up to nine: a
+# seed of more than four words fills the pool with entropy left to absorb
+WIDE = st.integers(2**64, 2**256)
+SEED = st.one_of(st.integers(0, 2**64 - 1), WIDE)
+PATH_ENTRY = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), WIDE)
 # subset sizes: one jump per draw for few lanes, runs of LCG steps for many,
 # and more than one chunk of lanes for the most
 SUBSET_SIZES = st.sampled_from([1, 2, 9, 60, 300, 1100, 1300])
@@ -46,7 +49,7 @@ class TestLaneStreams:
     must draw exactly what derive_generator(seed, *path, idx[j]) draws."""
 
     @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(seed=U64, path=st.lists(PATH_ENTRY, max_size=2),
+    @given(seed=SEED, path=st.lists(PATH_ENTRY, max_size=2),
            low=st.integers(0, 2**32 - 700), high=st.integers(2**32, 2**64 - 700),
            data=st.data())
     def test_lanes_draw_what_their_generators_draw(self, seed, path, low, high, data):

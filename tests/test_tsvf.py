@@ -7,11 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad, simpson
 from scipy.stats import kstest
 
-from oracles import (EQUAL_SUPERPOSITION, PAULI_Y, PAULI_Z, input_state_for_eta,
-                     rejection_sample_batch, weak_value)
+from oracles import (EQUAL_SUPERPOSITION, PAULI_Y, PAULI_Z, derive_generator,
+                     input_state_for_eta, rejection_sample_batch, weak_value)
 from weaksep import tsvf
 from weaksep.qubit import QubitState
-from weaksep.stats import derive_generator
 from weaksep.tsvf import (
     TsvfSetup,
     analytic_moments,

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import born_probabilities, posterior_weight, run_walk, strong_measure
+from oracles import (born_probabilities, derive_generator, posterior_weight, run_walk,
+                     strong_measure)
 from weaksep.qubit import QubitState, state_from_angle
-from weaksep.stats import derive_generator
 from weaksep.walk import (
     Outcome,
     PointerModel,
