@@ -229,26 +229,25 @@ def _run_fig6(params, master_seed, outdir, files) -> dict:
 
 def _run_tsvf_report(params, master_seed, outdir, files) -> dict:
     rows = []
-    worst_mean = worst_second = 0.0
-    for g in params["g_grid"]:
-        for sigma in params["sigma_grid"]:
-            for eta in params["eta_grid"]:
-                setup = TsvfSetup(eta, g, sigma)
-                ana = analytic_moments(setup)
-                orc = quadrature_moments(setup)
-                rows.append((eta, g, sigma, ana.mean, orc.mean,
-                             ana.second_moment, orc.second_moment,
-                             setup.postselect_prob))
-                worst_mean = max(worst_mean,
-                                 abs(ana.mean - orc.mean) / max(abs(ana.mean), 1e-300))
-                worst_second = max(worst_second,
-                                   abs(ana.second_moment - orc.second_moment)
-                                   / abs(ana.second_moment))
+    worst_mean = worst_second = worst_err = 0.0
+    evaluations = 0
+    for g, sigma, eta in product(params["g_grid"], params["sigma_grid"], params["eta_grid"]):
+        setup = TsvfSetup(eta, g, sigma)
+        ana = analytic_moments(setup)
+        orc = quadrature_moments(setup)
+        rows.append((eta, g, sigma, ana.mean, orc.mean, ana.second_moment, orc.second_moment,
+                     setup.postselect_prob))
+        worst_mean = max(worst_mean, abs(ana.mean - orc.mean) / max(abs(ana.mean), 1e-300))
+        worst_second = max(worst_second, abs(ana.second_moment - orc.second_moment)
+                           / abs(ana.second_moment))
+        evaluations += orc.evaluations
+        worst_err = max(worst_err, orc.worst_err_ratio)
     _write_csv(outdir / "tsvf_report.csv",
                ["eta", "g", "sigma", "mean_analytic", "mean_quadrature",
                 "second_moment_analytic", "second_moment_quadrature",
                 "postselect_prob"], rows, files)
-    return {"worst_mean_rel_err": worst_mean, "worst_second_moment_rel_err": worst_second}
+    return {"worst_mean_rel_err": worst_mean, "worst_second_moment_rel_err": worst_second,
+            "quadrature_evaluations": evaluations, "worst_quadrature_err_ratio": worst_err}
 
 
 def _run_tsvf_separation(params, master_seed, outdir, files) -> dict:
@@ -275,6 +274,8 @@ def _run_tsvf_separation(params, master_seed, outdir, files) -> dict:
         "bayes_error": report.bayes_error,
         "postselect_prob_1": report.moments_1.postselect_prob,
         "postselect_prob_2": report.moments_2.postselect_prob,
+        "quadrature_evaluations": report.evaluations,
+        "worst_quadrature_err_ratio": report.worst_err_ratio,
     }
 
 

@@ -18,15 +18,16 @@ Closed-form conditional moments (E = exp(-2 (g sigma)^2)):
     <X>   = sin(eta) 2 g sigma^2 / (exp(2 (g sigma)^2) - cos(eta))
     <X^2> = sigma^2 (1 - cos(eta) E (1 - 4 g^2 sigma^2)) / (1 - cos(eta) E)
 
-Each analytic expression is paired with an adaptive-quadrature oracle over
-the same density. The weak value itself and a rejection sampler of exact
-conditional readings are the tests' oracles, not part of the package.
+Each is paired with an adaptive-quadrature oracle: QUADPACK evaluates
+`needle_density` at one float x at a time. The density over an array, the
+weak value and a rejection sampler are the tests' oracles, not the package's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +57,7 @@ class TsvfSetup:
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
-    @property
+    @cached_property
     def b(self) -> float:
         """Imaginary part of the weak value, b = cot(eta/2)."""
         return 1.0 / math.tan(self.eta / 2.0)
@@ -81,7 +82,8 @@ class MomentReport:
 
     postselect_prob is the pre-coupling overlap sin^2(eta/2); acceptance_prob
     is the full post-coupling acceptance rate, which the coupling shifts
-    slightly away from the overlap value.
+    slightly away from the overlap value. A quadrature report also counts its
+    integrand evaluations and its worst abserr / tolerance; closed forms give 0.
     """
 
     mean: float
@@ -89,6 +91,8 @@ class MomentReport:
     variance: float
     postselect_prob: float
     acceptance_prob: float
+    evaluations: int = 0
+    worst_err_ratio: float = 0.0
 
 
 def mean_fin(setup: TsvfSetup) -> float:
@@ -132,21 +136,20 @@ def analytic_moments(setup: TsvfSetup) -> MomentReport:
     return MomentReport(m1, m2, m2 - m1 * m1, setup.postselect_prob, acceptance)
 
 
-def needle_density(x, setup: TsvfSetup):
+def needle_density(x: float, setup: TsvfSetup):
     """Unnormalized conditional reading density (cos gx + b sin gx)^2 N(x; 0, sigma^2).
 
     Includes the Gaussian normalizer, so the total mass is
-    a_plus + a_minus exp(-2 (g sigma)^2). x is a float or a numpy array;
-    a float gives the same value as the matching entry of an array.
+    a_plus + a_minus exp(-2 (g sigma)^2). x is one float, as QUADPACK passes it.
     """
     sig = setup.sigma
+    # math.cos, math.sin and math.pow(amp, 2.0) equal np.cos, np.sin and np.float_power,
+    # so each value is the array form's entry (tests/oracles.py); math.exp is not
+    # numpy's exp (an ulp off at about 5% of arguments), so the Gaussian keeps np.exp
     gauss = np.exp(-x * x / (2.0 * sig * sig)) / (sig * math.sqrt(2.0 * math.pi))
-    # np.float_power is libm's pow for a float and for each entry of an array,
-    # so both give the same value and the tsvf CSVs' quadrature columns stay
-    # pow's; `amp ** 2` calls pow on a float but squares an array, and the two
-    # differ in the last bit at about 1 point in 1,500
-    amp = np.cos(setup.g * x) + setup.b * np.sin(setup.g * x)
-    return np.float_power(amp, 2.0) * gauss
+    gx = setup.g * x
+    amp = math.cos(gx) + setup.b * math.sin(gx)
+    return math.pow(amp, 2.0) * gauss
 
 
 def quad(f, lo, hi, **kw):
@@ -157,25 +160,27 @@ def quad(f, lo, hi, **kw):
 
 
 def _quad(f, lo, hi, scale: float):
-    value, abserr, *_ = quad(f, lo, hi, epsabs=QUAD_TOL * scale * 1e-2,
-                             epsrel=1e-12, limit=500, full_output=1)
-    if abserr > QUAD_TOL * scale:
+    """(integral, integrand evaluations, abserr / tolerance) at tolerance QUAD_TOL * scale."""
+    tol = QUAD_TOL * scale
+    value, abserr, info, *_ = quad(f, lo, hi, epsabs=tol * 1e-2,
+                                   epsrel=1e-12, limit=500, full_output=1)
+    if abserr > tol:
         raise QuadratureError(
-            f"quadrature achieved absolute error {abserr:.3e}, "
-            f"needed {QUAD_TOL * scale:.3e}"
-        )
-    return value
+            f"quadrature achieved absolute error {abserr:.3e}, needed {tol:.3e}")
+    return value, info["neval"], abserr / tol
 
 
 def quadrature_moments(setup: TsvfSetup) -> MomentReport:
     """Oracle MomentReport: adaptive quadrature of the conditional density."""
     lim = QUAD_RANGE_SIGMAS * setup.sigma
-    dens = lambda x: needle_density(x, setup)
-    mass = _quad(dens, -lim, lim, 1.0 * setup.a_plus)
-    m1 = _quad(lambda x: x * dens(x), -lim, lim, setup.sigma * mass) / mass
-    m2 = _quad(lambda x: x * x * dens(x), -lim, lim, setup.sigma ** 2 * mass) / mass
+    mass, n0, r0 = _quad(lambda x: needle_density(x, setup), -lim, lim, 1.0 * setup.a_plus)
+    m1, n1, r1 = _quad(lambda x: x * needle_density(x, setup), -lim, lim, setup.sigma * mass)
+    m2, n2, r2 = _quad(lambda x: x * x * needle_density(x, setup), -lim, lim,
+                       setup.sigma ** 2 * mass)
+    m1, m2 = m1 / mass, m2 / mass
     acceptance = setup.postselect_prob * mass
-    return MomentReport(m1, m2, m2 - m1 * m1, setup.postselect_prob, acceptance)
+    return MomentReport(m1, m2, m2 - m1 * m1, setup.postselect_prob, acceptance,
+                        n0 + n1 + n2, max(r0, r1, r2))
 
 
 @dataclass
@@ -190,6 +195,8 @@ class SeparationReport:
     quadrature_2: MomentReport
     mean_gap: float
     bayes_error: float
+    evaluations: int  # over all seven quadratures
+    worst_err_ratio: float
 
 
 def separation_report(eta1: float, eta2: float, g: float, sigma: float) -> SeparationReport:
@@ -208,17 +215,8 @@ def separation_report(eta1: float, eta2: float, g: float, sigma: float) -> Separ
     lim = QUAD_RANGE_SIGMAS * sigma
     z1 = q1.acceptance_prob / s1.postselect_prob
     z2 = q2.acceptance_prob / s2.postselect_prob
-    overlap = _quad(
-        lambda x: min(needle_density(x, s1) / z1, needle_density(x, s2) / z2),
-        -lim, lim, 1.0,
-    )
-    return SeparationReport(
-        setup_1=s1,
-        setup_2=s2,
-        moments_1=a1,
-        moments_2=a2,
-        quadrature_1=q1,
-        quadrature_2=q2,
-        mean_gap=a1.mean - a2.mean,
-        bayes_error=0.5 * overlap,
-    )
+    overlap, n, r = _quad(lambda x: min(needle_density(x, s1) / z1, needle_density(x, s2) / z2),
+                          -lim, lim, 1.0)
+    return SeparationReport(s1, s2, a1, a2, q1, q2, a1.mean - a2.mean, 0.5 * overlap,
+                            q1.evaluations + q2.evaluations + n,
+                            max(q1.worst_err_ratio, q2.worst_err_ratio, r))

@@ -26,6 +26,7 @@ from weaksep.experiments import (
     validate,
 )
 from weaksep.qubit import state_from_angle
+from weaksep.tsvf import TsvfSetup, optimal_eta, quadrature_moments, separation_report
 from weaksep.walk import PointerModel, WalkBoundaries, bias_update
 
 
@@ -265,6 +266,15 @@ class TestTsvfReport:
         assert len(rows) == 2
         assert summary.headline["worst_mean_rel_err"] < 1e-8
 
+    def test_headline_reports_quadrature_work(self, tmp_path):
+        params = {"g_grid": [0.05, 0.5], "sigma_grid": [2.0], "eta_grid": [0.2, 2.5]}
+        headline = run(ExperimentSpec("tsvf-report", params, 12, str(tmp_path))).headline
+        reports = [quadrature_moments(TsvfSetup(eta, g, 2.0))
+                   for g in (0.05, 0.5) for eta in (0.2, 2.5)]
+        assert headline["quadrature_evaluations"] == sum(r.evaluations for r in reports)
+        assert headline["worst_quadrature_err_ratio"] == max(r.worst_err_ratio for r in reports)
+        assert 0.0 < headline["worst_quadrature_err_ratio"] <= 1.0
+
 
 class TestTsvfSeparation:
     def test_single_row_report(self, tmp_path):
@@ -276,6 +286,16 @@ class TestTsvfSeparation:
         assert row["bayes_error"] == pytest.approx(
             summary.headline["bayes_error"], abs=1e-12)
         assert 0.0 < row["bayes_error"] < 0.5
+
+    def test_headline_reports_quadrature_work(self, tmp_path):
+        headline = run(ExperimentSpec("tsvf-separation", {}, 13, str(tmp_path))).headline
+        report = separation_report(optimal_eta(0.05, 2.0)[0], 2.0, 0.05, 2.0)
+        q1, q2 = report.quadrature_1, report.quadrature_2
+        # the seven quadratures: three moments of each setup, then the overlap
+        assert headline["quadrature_evaluations"] == report.evaluations
+        assert report.evaluations > q1.evaluations + q2.evaluations > 0
+        assert headline["worst_quadrature_err_ratio"] == report.worst_err_ratio
+        assert max(q1.worst_err_ratio, q2.worst_err_ratio) <= report.worst_err_ratio <= 1.0
 
 
 class TestScipyImports:

@@ -8,7 +8,8 @@ from scipy.integrate import quad, simpson
 from scipy.stats import kstest
 
 from oracles import (EQUAL_SUPERPOSITION, PAULI_Y, PAULI_Z, derive_generator,
-                     input_state_for_eta, rejection_sample_batch, weak_value)
+                     input_state_for_eta, needle_density_array, rejection_sample_batch,
+                     weak_value)
 from weaksep import tsvf
 from weaksep.qubit import QubitState
 from weaksep.tsvf import (
@@ -200,13 +201,13 @@ class TestNeedleDensity:
         setup = TsvfSetup(1.0, 0.0, 2.0)
         xs = np.linspace(-8, 8, 50)
         want = np.exp(-xs**2 / 8.0) / (2.0 * math.sqrt(2 * math.pi))
-        assert needle_density(xs, setup) == pytest.approx(want, rel=1e-12)
+        assert needle_density_array(xs, setup) == pytest.approx(want, rel=1e-12)
 
     def test_eta_pi_density_is_symmetric(self):
         setup = TsvfSetup(math.pi, 0.3, 2.0)
         xs = np.linspace(0.1, 8, 20)
-        assert needle_density(xs, setup) == pytest.approx(
-            needle_density(-xs, setup), rel=1e-12)
+        assert needle_density_array(xs, setup) == pytest.approx(
+            needle_density_array(-xs, setup), rel=1e-12)
         assert quadrature_moments(setup).mean == pytest.approx(0.0, abs=1e-10)
 
     # quad calls the density with floats, the grid oracles with arrays
@@ -215,14 +216,14 @@ class TestNeedleDensity:
     def test_float_is_the_array_entry(self, eta, g, sigma, t):
         setup = TsvfSetup(eta, g, sigma)
         x = t * sigma
-        assert needle_density(x, setup) == needle_density(np.array([x]), setup)[0]
+        assert needle_density(x, setup) == needle_density_array(np.array([x]), setup)[0]
 
     def test_float_is_the_array_entry_on_a_grid(self):
         for eta, g, sigma in [(0.2, 0.05, 2.0), (0.7, 0.3, 1.0), (2.5, 0.5, 5.0)]:
             setup = TsvfSetup(eta, g, sigma)
             xs = np.linspace(-12 * sigma, 12 * sigma, 3001)
             singles = [needle_density(float(x), setup) for x in xs]
-            assert np.array_equal(singles, needle_density(xs, setup))
+            assert np.array_equal(singles, needle_density_array(xs, setup))
 
     def test_total_mass_identity(self):
         for g, sigma, eta in [(0.1, 2.0, 0.3), (0.5, 1.0, 2.5)]:
@@ -247,6 +248,33 @@ class TestQuadratureOracle:
         monkeypatch.setattr(tsvf, "quad", counted)
         separation_report(0.4, 2.0, 0.05, 2.0)
         assert calls == [(-24.0, 24.0)] * 7  # 3 moments per setup, then the overlap
+
+    @pytest.mark.parametrize("run, setups", [
+        (quadrature_moments, [TsvfSetup(0.2, 0.05, 2.0)]),
+        (quadrature_moments, [TsvfSetup(2.5, 0.5, 5.0)]),
+        (quadrature_moments, [TsvfSetup(math.pi, 1.0, 0.5)]),
+        (lambda _: separation_report(optimal_eta(0.05, 2.0)[0], 2.0, 0.05, 2.0),
+         [TsvfSetup(optimal_eta(0.05, 2.0)[0], 0.05, 2.0), TsvfSetup(2.0, 0.05, 2.0)]),
+    ])
+    def test_density_is_the_array_entry_at_every_quadpack_point(self, monkeypatch, run,
+                                                                setups):
+        # the tsvf CSVs' quadrature columns are made of these values, one float at a time
+        xs = []
+        real = tsvf.quad
+
+        def recorded(f, lo, hi, **kwargs):
+            def f_recorded(x):
+                xs.append(x)
+                return f(x)
+            return real(f_recorded, lo, hi, **kwargs)
+
+        monkeypatch.setattr(tsvf, "quad", recorded)
+        report = run(setups[0])
+        assert len(xs) == report.evaluations  # the count the headlines report
+        assert {type(x) for x in xs} == {float}
+        for setup in setups:
+            singles = [needle_density(x, setup) for x in xs]
+            assert np.array_equal(singles, needle_density_array(np.array(xs), setup))
 
     def test_no_coupling_moments(self):
         report = quadrature_moments(TsvfSetup(1.0, 0.0, 2.0))
@@ -310,7 +338,7 @@ class TestRejectionSampler:
         accepted = rejection_sample_batch(setup, 10**5, derive_generator(204))
         sigma = setup.sigma
         xs = np.linspace(-12 * sigma, 12 * sigma, 20001)
-        pdf = needle_density(xs, setup)
+        pdf = needle_density_array(xs, setup)
         cdf_grid = np.concatenate([[0.0], np.cumsum(
             0.5 * (pdf[1:] + pdf[:-1]) * np.diff(xs))])
         cdf_grid /= cdf_grid[-1]
@@ -351,8 +379,8 @@ class TestSeparationReport:
         xs = np.linspace(-12 * sigma, 12 * sigma, 96001)
         z1 = report.quadrature_1.acceptance_prob / s1.postselect_prob
         z2 = report.quadrature_2.acceptance_prob / s2.postselect_prob
-        integrand = np.minimum(needle_density(xs, s1) / z1,
-                               needle_density(xs, s2) / z2)
+        integrand = np.minimum(needle_density_array(xs, s1) / z1,
+                               needle_density_array(xs, s2) / z2)
         grid_value = 0.5 * simpson(integrand, x=xs)
         assert report.bayes_error == pytest.approx(grid_value, abs=1e-6)
 
