@@ -9,13 +9,12 @@ separated, header row first, line-feed terminated.
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from .stats import (MIN_FIT_SAMPLES, PRNG_ALGORITHM, LaneStreams, fit_lognormal,
                     quadratic_scaling_fit)
 from .tsvf import (QuadratureError, TsvfSetup, analytic_moments, optimal_eta,
                    quadrature_moments, separation_report)
-from .walk import (Outcome, PointerModel, WalkBoundaries, _lockstep, bias_update, run_ensemble,
+from .walk import (Outcome, PointerModel, WalkBoundaries, _back_action, _lockstep, run_ensemble,
                    state_log_odds)
 
 DEFAULT_MASTER_SEED = 20260811
@@ -79,15 +78,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows, files: list[Path]) -> None:
+_CSV_ROWS = 1024  # most rows the writer formats at once, so that its memory stays flat
+_PLAIN = {int, float, str}  # the types on which str(v) == _fmt(v)
+
+
+def _column_text(column):
+    """The fields of a column (an array, list or tuple) as `_fmt` writes them, in
+    one pass: numeric and text arrays go through `tolist`, and a column of
+    plain ints, floats and strs through `str`."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiuU":
+        column = column.tolist()
+    return list(map(str if _PLAIN.issuperset(map(type, column)) else _fmt, column))
+
+
+def _write_csv(path: Path, header: list[str], blocks, files: list[Path]) -> None:
+    """Write the header, then the rows of `blocks`, each a tuple of equal-length
+    columns, a window of at most _CSV_ROWS rows at a time.
+
+    The bytes are those of a `csv.writer` row writer applying `_fmt` to each
+    value. Fields are never quoted: no value the experiments write holds a
+    comma, a double quote or a line break.
+    """
     if path in files:  # e.g. two sigmas that print alike in a file name
         raise ValueError(f"two outputs of the run would both be {path.name}")
     files.append(path)  # before writing, so that a failed run removes a partial file
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            for lo in range(0, len(block[0]), _CSV_ROWS):
+                fields = [_column_text(column[lo:lo + _CSV_ROWS]) for column in block]
+                fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 _DUMP_READINGS = 1 << 20  # most readings (and lanes) the trajectory dump holds at once
@@ -96,36 +116,51 @@ _TRAJECTORY_HEADER = ["trial", "step", "reading", "alpha", "beta"]
 
 def _trajectory_rows(s0, pm: PointerModel, wb: WalkBoundaries, steps, master_seed: int,
                      seed_path: tuple[int, ...] = ()):
-    """Per-step rows of the ensemble whose trials took `steps` steps: the kernel's
-    readings on the ensemble's own streams, and `bias_update` iterated over them.
+    """Column blocks of the per-step rows of the ensemble whose trials took `steps`
+    steps: the kernel's readings on the ensemble's own streams, and
+    `_back_action` iterated over them from s0.
 
     Trials go in chunks whose readings fit one buffer; a trial longer than it
     is written as it walks. A lane's draws depend only on (master_seed,
-    seed_path, index), so the chunks leave them unchanged.
+    seed_path, index), so the chunks leave them unchanged. No block holds more
+    than _CSV_ROWS rows.
     """
     held = np.cumsum(steps + 1)  # readings plus lanes of trials 0..i
+    g, sigma = pm.g, pm.sigma
     lo = 0
     while lo < steps.size:
         # the trials from lo on that fit the buffer, and at least one
         limit = held[lo] - steps[lo] - 1 + _DUMP_READINGS
         hi = max(lo + 1, int(np.searchsorted(held, limit, side="right")))
         n = steps[lo:hi]
+        end = np.cumsum(n)  # one past each trial's last row in the chunk
+        start = end - n
         # a lane stops where its trial did: on crossing, or at the cap, which is then n.max()
         walk = _lockstep(np.full(hi - lo, state_log_odds(s0)), pm, wb, int(n.max()),
                          LaneStreams(master_seed, seed_path, np.arange(lo, hi)))
-        if hi == lo + 1:  # one trial, perhaps longer than the buffer: rows as it walks
-            walks = [((t, float(x[0])) for t, _, x, _ in walk)]
+        if hi == lo + 1:  # one trial, perhaps longer than the buffer: windows as it walks
+            readings = (float(x[0]) for _, _, x, _ in walk)
+            windows = iter(lambda: list(islice(readings, _CSV_ROWS)), [])
         else:
-            start = np.cumsum(n) - n
-            readings = np.empty(int(n.sum()))
+            buffer = np.empty(int(end[-1]))
             for t, lanes, x, _ in walk:
-                readings[start[lanes] + t - 1] = x
-            walks = (enumerate(xs.tolist(), start=1) for xs in np.split(readings, start[1:]))
-        for i, walked in enumerate(walks, start=lo):
-            s = s0
-            for t, x in walked:
-                s = bias_update(s, x, pm)
-                yield i, t, x, s.alpha, s.beta
+                buffer[start[lanes] + t - 1] = x
+            windows = (buffer[r:r + _CSV_ROWS].tolist()
+                       for r in range(0, buffer.size, _CSV_ROWS))
+        first = 0  # the chunk's row that opens the window
+        for xs in windows:
+            rows = np.arange(first, first + len(xs))
+            trial = np.searchsorted(end, rows, side="right")
+            step = rows - start[trial] + 1
+            alphas, betas = [], []
+            for t, x in zip(step.tolist(), xs):
+                if t == 1:
+                    alpha, beta = s0.alpha, s0.beta
+                alpha, beta = _back_action(alpha, beta, x, g, sigma)
+                alphas.append(alpha)
+                betas.append(beta)
+            yield trial + lo, step, xs, alphas, betas
+            first += len(xs)
         lo = hi
 
 
@@ -133,9 +168,10 @@ def _trajectory_rows(s0, pm: PointerModel, wb: WalkBoundaries, steps, master_see
 # experiment implementations
 
 def _run_helstrom_table(params, master_seed, outdir, files) -> dict:
-    rows = [(t, helstrom_bound(t)) for t in params["theta_grid"]]
-    _write_csv(outdir / "helstrom_table.csv", ["theta_deg", "helstrom"], rows, files)
-    return {"points": len(rows)}
+    thetas = params["theta_grid"]
+    _write_csv(outdir / "helstrom_table.csv", ["theta_deg", "helstrom"],
+               [(thetas, [helstrom_bound(t) for t in thetas])], files)
+    return {"points": len(thetas)}
 
 
 def _run_fig2(params, master_seed, outdir, files) -> dict:
@@ -144,11 +180,9 @@ def _run_fig2(params, master_seed, outdir, files) -> dict:
     s0 = state_from_angle(params["start_angle_deg"])
     trials = params["trials"]
     ens = run_ensemble(s0, pm, wb, trials, master_seed, params["max_steps"])
-    rows = [
-        (i, int(ens.steps[i]), Outcome(int(ens.labels[i])).name.lower())
-        for i in range(trials)
-    ]
-    _write_csv(outdir / "fig2_steps.csv", ["trial", "steps", "label"], rows, files)
+    names = np.array([outcome.name.lower() for outcome in Outcome])
+    _write_csv(outdir / "fig2_steps.csv", ["trial", "steps", "label"],
+               [(np.arange(trials), ens.steps, names[ens.labels])], files)
     collapsed = ens.steps[ens.labels != Outcome.MAXED_OUT]
     fit = fit_lognormal(collapsed)
     if params["dump_trajectories"]:
@@ -185,7 +219,7 @@ def _run_fig3(params, master_seed, outdir, files) -> dict:
             _write_csv(outdir / f"fig3_trajectories_sigma{sigma:g}.csv", _TRAJECTORY_HEADER,
                        _trajectory_rows(s0, pm, wb, ens.steps, master_seed, (k,)), files)
     _write_csv(outdir / "fig3_medians.csv",
-               ["sigma", "median_steps", "mean_steps", "trials"], rows, files)
+               ["sigma", "median_steps", "mean_steps", "trials"], [tuple(zip(*rows))], files)
     coeff, r2 = quadratic_scaling_fit(params["sigma_grid"], medians)
     return {"coefficient": coeff, "r_squared": r2}
 
@@ -195,9 +229,9 @@ def _run_fig4(params, master_seed, outdir, files) -> dict:
         params["theta_grid"], WalkBoundaries(*params["boundaries"]),
         PointerModel(params["sigma"]), params["trials"], master_seed,
         params["max_steps"])
-    rows = zip(curve.theta_grid, curve.success, curve.stderr, curve.helstrom)
+    columns = (curve.theta_grid, curve.success, curve.stderr, curve.helstrom)
     _write_csv(outdir / "fig4_success.csv",
-               ["theta_deg", "success", "stderr", "helstrom"], rows, files)
+               ["theta_deg", "success", "stderr", "helstrom"], [columns], files)
     return {"worst_margin_vs_helstrom": float(np.min(curve.success - curve.helstrom))}
 
 
@@ -207,9 +241,9 @@ def _run_fig5(params, master_seed, outdir, files) -> dict:
         params["trials"], master_seed)
     headline = {}
     for m, curve in curves.items():
-        rows = zip(curve.theta_grid, curve.success, curve.stderr, curve.helstrom)
+        columns = (curve.theta_grid, curve.success, curve.stderr, curve.helstrom)
         _write_csv(outdir / f"fig5_m{m}.csv",
-                   ["theta_deg", "success", "stderr", "helstrom"], rows, files)
+                   ["theta_deg", "success", "stderr", "helstrom"], [columns], files)
         headline[str(m)] = float(curve.success[-1])
     return {"success_at_max_theta": headline}
 
@@ -221,8 +255,8 @@ def _run_fig6(params, master_seed, outdir, files) -> dict:
     medians = {}
     for m in dict.fromkeys(params["m_values"]):
         cdf = average_cdf(truth_state, m, pm, params["trials"], master_seed)
-        rows = zip(cdf.values, cdf.levels)
-        _write_csv(outdir / f"fig6_m{m}.csv", ["mean_reading", "cdf"], rows, files)
+        _write_csv(outdir / f"fig6_m{m}.csv", ["mean_reading", "cdf"],
+                   [(cdf.values, cdf.levels)], files)
         medians[str(m)] = cdf.median
     return {"medians": medians}
 
@@ -237,7 +271,7 @@ def _run_tsvf_report(params, master_seed, outdir, files) -> dict:
         orc = quadrature_moments(setup)
         rows.append((eta, g, sigma, ana.mean, orc.mean, ana.second_moment, orc.second_moment,
                      setup.postselect_prob))
-        worst_mean = max(worst_mean, abs(ana.mean - orc.mean) / max(abs(ana.mean), 1e-300))
+        worst_mean = max(worst_mean, abs(ana.mean - orc.mean) / sigma)
         worst_second = max(worst_second, abs(ana.second_moment - orc.second_moment)
                            / abs(ana.second_moment))
         evaluations += orc.evaluations
@@ -245,8 +279,8 @@ def _run_tsvf_report(params, master_seed, outdir, files) -> dict:
     _write_csv(outdir / "tsvf_report.csv",
                ["eta", "g", "sigma", "mean_analytic", "mean_quadrature",
                 "second_moment_analytic", "second_moment_quadrature",
-                "postselect_prob"], rows, files)
-    return {"worst_mean_rel_err": worst_mean, "worst_second_moment_rel_err": worst_second,
+                "postselect_prob"], [tuple(zip(*rows))], files)
+    return {"worst_mean_abs_err_sigma": worst_mean, "worst_second_moment_rel_err": worst_second,
             "quadrature_evaluations": evaluations, "worst_quadrature_err_ratio": worst_err}
 
 
@@ -268,7 +302,7 @@ def _run_tsvf_separation(params, master_seed, outdir, files) -> dict:
                ["eta1", "eta2", "g", "sigma", "mean_1", "mean_2", "mean_gap",
                 "variance_1", "variance_2", "postselect_prob_1", "postselect_prob_2",
                 "acceptance_prob_1", "acceptance_prob_2", "bayes_error"],
-               [row], files)
+               [tuple(zip(row))], files)
     return {
         "mean_gap": report.mean_gap,
         "bayes_error": report.bayes_error,

@@ -129,21 +129,28 @@ def state_log_odds(s: QubitState) -> float:
     return 2.0 * (math.log(abs(s.alpha)) - math.log(abs(s.beta)))
 
 
-def bias_update(s: QubitState, x0: float, pm: PointerModel) -> QubitState:
-    """Back-action of reading x0: reweight amplitudes by the Gaussian branch weights.
+def _back_action(alpha: float, beta: float, x0: float, g: float,
+                 sigma: float) -> tuple[float, float]:
+    """The amplitudes (alpha, beta) after reading x0 on a needle of coupling g and
+    spread sigma, reweighted by the Gaussian branch weights, as floats.
 
     The two exponents are taken relative to their maximum before
     exponentiating, so one weight is always exactly 1 and the suppressed
     branch underflows cleanly to 0 instead of producing (0, 0).
     """
-    four_s2 = 4.0 * pm.sigma * pm.sigma
-    e0 = -((x0 - pm.g) ** 2) / four_s2
-    e1 = -((x0 + pm.g) ** 2) / four_s2
-    m = max(e0, e1)
-    w0 = s.alpha * math.exp(e0 - m)
-    w1 = s.beta * math.exp(e1 - m)
+    four_s2 = 4.0 * sigma * sigma
+    e0 = -((x0 - g) ** 2) / four_s2
+    e1 = -((x0 + g) ** 2) / four_s2
+    m = e1 if e1 > e0 else e0  # max(e0, e1), without the call
+    w0 = alpha * math.exp(e0 - m)
+    w1 = beta * math.exp(e1 - m)
     norm = math.hypot(w0, w1)
-    return QubitState(w0 / norm, w1 / norm)
+    return w0 / norm, w1 / norm
+
+
+def bias_update(s: QubitState, x0: float, pm: PointerModel) -> QubitState:
+    """Back-action of reading x0 on the state s (see `_back_action`)."""
+    return QubitState(*_back_action(s.alpha, s.beta, x0, pm.g, pm.sigma))
 
 
 @dataclass

@@ -5,14 +5,16 @@ lockstep kernel over it. Here `derive_generator` builds one trial's stream as
 a numpy Generator, the form each lane of `LaneStreams` must match bit for
 bit; `run_walk` takes one trial's readings from it, and the decision
 protocols build on it. Also: Born weights, weak values, a rejection
-sampler of post-selected readings, and the post-selected needle density
-over an array. The package never imports this.
+sampler of post-selected readings, the post-selected needle density over
+an array, and the row-at-a-time CSV writer. The package never imports this.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit, ndtri
@@ -381,3 +383,25 @@ def needle_density_array(x, setup: TsvfSetup):
     # differ in the last bit at about 1 point in 1,500
     amp = np.cos(setup.g * x) + setup.b * np.sin(setup.g * x)
     return np.float_power(amp, 2.0) * gauss
+
+
+# experiments: the row writer that the columnar `_write_csv` replaced
+
+def _fmt(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float) or isinstance(value, np.floating):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv_rows(path: Path, header: list[str], rows, files: list[Path]) -> None:
+    """A CSV written a row at a time: `csv.writer` with `_fmt` on each value."""
+    if path in files:  # e.g. two sigmas that print alike in a file name
+        raise ValueError(f"two outputs of the run would both be {path.name}")
+    files.append(path)  # before writing, so that a failed run removes a partial file
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])

@@ -3,18 +3,21 @@ import io
 import json
 import math
 import os
+import string
 import subprocess
 import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import weaksep
-from oracles import derive_generator, run_walk
+import weaksep.experiments as exp
+from oracles import derive_generator, run_walk, write_csv_rows
 from weaksep.cli import main
 from weaksep.experiments import (
     DEFAULT_MASTER_SEED,
@@ -184,22 +187,41 @@ def oracle_dump(s0, pm, wb, trials, master_seed, max_steps, seed_path=()):
 
 
 class TestTrajectoryDump:
-    @pytest.mark.parametrize("experiment, parameters, master_seed, buffer", [
+    @pytest.mark.parametrize("experiment, parameters, master_seed, buffer, window", [
         # maxed-out walks, and walks longer than the kernel's 32-step blocks
-        ("fig2", {"sigma": 5.0, "trials": 80, "max_steps": 40}, 3, None),
-        ("fig2", {"sigma": 5.0, "trials": 30}, 2**64 - 1, None),
+        ("fig2", {"sigma": 5.0, "trials": 80, "max_steps": 40}, 3, None, None),
+        ("fig2", {"sigma": 5.0, "trials": 30}, 2**64 - 1, None, None),
         # a start on a boundary: no steps, header only
         ("fig3", {"sigma_grid": [2.0, 3.0, 4.0, 5.0], "trials": 30, "start_angle_deg": 5.0},
-         8, None),
+         8, None, None),
         # a buffer of 40 readings: chunks of a few trials, and trials longer than it
-        ("fig3", {"sigma_grid": [2.0, 3.0, 4.0, 5.0], "trials": 30}, 8, 40),
+        ("fig3", {"sigma_grid": [2.0, 3.0, 4.0, 5.0], "trials": 30}, 8, 40, None),
+        # and a row window of 7: windows inside a trial, and on the one-trial path
+        ("fig2", {"sigma": 5.0, "trials": 40}, 5, 40, 7),
+        ("fig3", {"sigma_grid": [2.0, 3.0, 4.0, 5.0], "trials": 30}, 8, 40, 7),
     ])
     def test_rows_are_the_scalar_walks(self, tmp_path, monkeypatch, experiment, parameters,
-                                       master_seed, buffer):
+                                       master_seed, buffer, window):
         if buffer is not None:
-            monkeypatch.setattr("weaksep.experiments._DUMP_READINGS", buffer)
+            monkeypatch.setattr(exp, "_DUMP_READINGS", buffer)
+        if window is not None:
+            monkeypatch.setattr(exp, "_CSV_ROWS", window)
+        block_rows = []  # rows of each block handed to the writer for a dump
+        write_csv = exp._write_csv
+
+        def recording(path, header, blocks, files):
+            def seen(blocks):
+                for block in blocks:
+                    block_rows.append(len(block[0]))
+                    yield block
+            if "trajectories" in path.name:
+                blocks = seen(blocks)
+            write_csv(path, header, blocks, files)
+
+        monkeypatch.setattr(exp, "_write_csv", recording)
         params = {**default_parameters(experiment), **parameters, "dump_trajectories": True}
         run(ExperimentSpec(experiment, params, master_seed, str(tmp_path)))
+        assert max(block_rows, default=0) <= exp._CSV_ROWS
         s0 = state_from_angle(params["start_angle_deg"])
         wb = WalkBoundaries(*params["boundaries"])
         if experiment == "fig2":
@@ -256,15 +278,19 @@ class TestFig6:
 
 
 class TestTsvfReport:
-    def test_schema_and_oracle_agreement(self, tmp_path):
-        params = {"g_grid": [0.05], "sigma_grid": [2.0], "eta_grid": [0.2, 2.5]}
+    @pytest.mark.parametrize("params", [
+        {"g_grid": [0.05], "sigma_grid": [2.0], "eta_grid": [0.2, 2.5]},
+        # an analytic mean of 4.8e-22: an error relative to it would read about 1.7e5
+        {"g_grid": [1.0], "sigma_grid": [5.0], "eta_grid": [0.05]},
+    ])
+    def test_schema_and_oracle_agreement(self, tmp_path, params):
         summary = run(ExperimentSpec("tsvf-report", params, 12, str(tmp_path)))
         header, rows = read_csv(tmp_path / "tsvf_report.csv")
         assert header == ["eta", "g", "sigma", "mean_analytic", "mean_quadrature",
                           "second_moment_analytic", "second_moment_quadrature",
                           "postselect_prob"]
-        assert len(rows) == 2
-        assert summary.headline["worst_mean_rel_err"] < 1e-8
+        assert len(rows) == len(params["eta_grid"])
+        assert summary.headline["worst_mean_abs_err_sigma"] < 1e-12
 
     def test_headline_reports_quadrature_work(self, tmp_path):
         params = {"g_grid": [0.05, 0.5], "sigma_grid": [2.0], "eta_grid": [0.2, 2.5]}
@@ -319,12 +345,59 @@ class TestScipyImports:
         assert after == ["scipy.integrate"]
 
 
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5]))
+_INT64 = st.integers(-2**63, 2**63 - 1)
+_TEXT = st.text(string.ascii_letters + string.digits + "_.-+ ", min_size=1)
+# kind of column the writer may be handed -> (its values, the column built from a list)
+_COLUMNS = {
+    "float64": (_FLOATS, lambda v: np.array(v, dtype=np.float64)),
+    "float32": (st.floats(width=32), lambda v: np.array(v, dtype=np.float32)),
+    "int64": (_INT64, lambda v: np.array(v, dtype=np.int64)),
+    "uint64": (st.integers(0, 2**64 - 1), lambda v: np.array(v, dtype=np.uint64)),
+    "str array": (_TEXT, np.array),
+    "bool array": (st.booleans(), lambda v: np.array(v, dtype=bool)),
+    "ints and floats": (st.one_of(st.integers(-10**30, 10**30), _FLOATS), list),  # [30, 40.5]
+    "strs": (_TEXT, tuple),
+    "np.float64": (_FLOATS.map(np.float64), list),
+    "np.int64": (_INT64.map(np.int64), list),
+    "bools": (st.one_of(st.booleans(), st.booleans().map(np.bool_)), list),
+}
+
+
+@st.composite
+def _blocks(draw):
+    """Blocks of equal-length columns, some empty and some longer than the window."""
+    width = draw(st.integers(1, 4))
+    blocks = []
+    for n in draw(st.lists(st.integers(0, 12), max_size=4)):
+        columns = []
+        for kind in draw(st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=width,
+                                  max_size=width)):
+            values, build = _COLUMNS[kind]
+            columns.append(build(draw(st.lists(values, min_size=n, max_size=n))))
+        blocks.append(tuple(columns))
+    return blocks
+
+
+class TestWriteCsv:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(blocks=_blocks(), window=st.integers(1, 8))
+    def test_bytes_equal_the_row_writer(self, blocks, window):
+        header = [f"c{j}" for j in range(len(blocks[0]) if blocks else 1)]
+        rows = [row for block in blocks for row in zip(*block)]
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(exp, "_CSV_ROWS", window):
+            want, got = Path(tmp) / "rows.csv", Path(tmp) / "columns.csv"
+            write_csv_rows(want, header, rows, [])
+            exp._write_csv(got, header, blocks, [])
+            assert got.read_bytes() == want.read_bytes()
+
+
 class TestFailureCleanup:
     def test_partial_outputs_removed(self, tmp_path, monkeypatch):
-        import weaksep.experiments as exp
-
         def broken(params, master_seed, outdir, files):
-            exp._write_csv(outdir / "partial.csv", ["a"], [[1]], files)
+            exp._write_csv(outdir / "partial.csv", ["a"], [([1],)], files)
             raise RuntimeError("boom")
 
         monkeypatch.setitem(exp.EXPERIMENTS, "fig2", (exp.EXPERIMENTS["fig2"][0], broken))
@@ -334,14 +407,12 @@ class TestFailureCleanup:
         assert not (tmp_path / "summary.json").exists()
 
     def test_file_cut_off_mid_write_removed(self, tmp_path, monkeypatch):
-        import weaksep.experiments as exp
-
-        def rows():
-            yield [1]
+        def blocks():
+            yield ([1],)
             raise RuntimeError("boom")
 
         def broken(params, master_seed, outdir, files):
-            exp._write_csv(outdir / "partial.csv", ["a"], rows(), files)
+            exp._write_csv(outdir / "partial.csv", ["a"], blocks(), files)
 
         monkeypatch.setitem(exp.EXPERIMENTS, "fig2", (exp.EXPERIMENTS["fig2"][0], broken))
         with pytest.raises(RuntimeError):
