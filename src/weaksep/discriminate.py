@@ -13,7 +13,8 @@
 Curve ensembles draw the truth for each trial from the trial's own stream
 (one uniform before the readings) and reuse each trial's reading prefix
 across the m values, so success estimates for different m are coupled by
-common random numbers.
+common random numbers. The sign-test curves and `average_cdf` take their
+m-reading averages from one walk, `_reading_means`.
 """
 
 from __future__ import annotations
@@ -48,6 +49,26 @@ class SuccessCurve:
     helstrom: np.ndarray
 
 
+def _reading_means(L0, pm: PointerModel, m_values: list[int],
+                   streams: LaneStreams) -> dict[int, np.ndarray]:
+    """{m: each lane's mean of its first m readings} for the sorted m_values, from
+    one no-boundary walk of m_values[-1] readings from the log-odds L0."""
+    sums = np.zeros(L0.size)
+    means = {}
+    for t, lanes, x, _ in _lockstep(L0, pm, None, m_values[-1], streams):
+        sums[lanes] += x
+        if t in m_values:
+            means[t] = sums / t
+    return means
+
+
+def _success_curve(thetas: np.ndarray, wins: list[int], trials: int) -> SuccessCurve:
+    """The curve of `wins[k]` successes in `trials` at each thetas[k]."""
+    return SuccessCurve(thetas.copy(), np.array(wins) / trials,
+                        np.array([binomial_stderr(w, trials) for w in wins]),
+                        np.array([helstrom_bound(t) for t in thetas]))
+
+
 def hypothesis_success_curves(
     theta_grid,
     m_values,
@@ -64,35 +85,21 @@ def hypothesis_success_curves(
     if trials < MIN_CURVE_TRIALS:
         raise ValueError(f"trials must be >= {MIN_CURVE_TRIALS}")
     m_values = sorted(set(int(m) for m in m_values))
-    if m_values[0] < 1:
+    if min(m_values, default=0) < 1:
         raise ValueError("every m must be >= 1")
     thetas = np.asarray(theta_grid, dtype=float)
-    success = {m: np.empty(thetas.size) for m in m_values}
-    stderr = {m: np.empty(thetas.size) for m in m_values}
+    wins = {m: [] for m in m_values}
     for k, theta in enumerate(thetas):
         psi1, psi2 = make_discrimination_pair(theta)
         streams = LaneStreams(master_seed, (k,), np.arange(trials))
         truth_is_1 = streams.random(slice(None), 1)[:, 0] < 0.5
         L0 = np.where(truth_is_1, state_log_odds(psi1), state_log_odds(psi2))
-        sums = np.zeros(trials)
-        means = {}
-        for t, lanes, x, _ in _lockstep(L0, pm, None, m_values[-1], streams):
-            sums[lanes] += x
-            if t in m_values:
-                means[t] = sums / t
-        for m in m_values:
-            mr = means[m]
+        for m, mr in _reading_means(L0, pm, m_values, streams).items():
             guess_is_1 = mr < 0.0
             tied = np.nonzero(mr == 0.0)[0]  # a tie's coin: its stream's next uniform
             guess_is_1[tied] = streams.random(tied, 1)[:, 0] < 0.5
-            wins = int(np.sum(guess_is_1 == truth_is_1))
-            success[m][k] = wins / trials
-            stderr[m][k] = binomial_stderr(wins, trials)
-    hel = np.array([helstrom_bound(t) for t in thetas])
-    return {
-        m: SuccessCurve(thetas.copy(), success[m], stderr[m], hel.copy())
-        for m in m_values
-    }
+            wins[m].append(int(np.sum(guess_is_1 == truth_is_1)))
+    return {m: _success_curve(thetas, wins[m], trials) for m in m_values}
 
 
 def average_cdf(
@@ -109,10 +116,7 @@ def average_cdf(
         raise ValueError("m must be >= 1")
     streams = LaneStreams(master_seed, (), np.arange(trials))
     L0 = np.full(trials, state_log_odds(truth_state))
-    sums = np.zeros(trials)
-    for _, lanes, x, _ in _lockstep(L0, pm, None, m, streams):
-        sums[lanes] += x
-    return empirical_cdf(sums / m)
+    return empirical_cdf(_reading_means(L0, pm, [m], streams)[m])
 
 
 def collapse_success_curve(
@@ -129,14 +133,10 @@ def collapse_success_curve(
     that exhaust the step budget count as failures.
     """
     thetas = np.asarray(theta_grid, dtype=float)
-    success = np.empty(thetas.size)
-    stderr = np.empty(thetas.size)
+    wins = []
     for k, theta in enumerate(thetas):
         psi1, _ = make_discrimination_pair(theta)
         ens = run_ensemble(psi1, pm, wb, trials, master_seed,
                            max_steps=max_steps, seed_path=(k,))
-        wins = int(np.sum(ens.labels == Outcome.ONE))
-        success[k] = wins / trials
-        stderr[k] = binomial_stderr(wins, trials)
-    hel = np.array([helstrom_bound(t) for t in thetas])
-    return SuccessCurve(thetas, success, stderr, hel)
+        wins.append(int(np.sum(ens.labels == Outcome.ONE)))
+    return _success_curve(thetas, wins, trials)

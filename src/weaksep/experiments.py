@@ -14,7 +14,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import islice, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -70,34 +70,17 @@ class RunSummary:
     files: list[str]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float) or isinstance(value, np.floating):
-        return repr(float(value))
-    return str(value)
-
-
 _CSV_ROWS = 1024  # most rows the writer formats at once, so that its memory stays flat
-_PLAIN = {int, float, str}  # the types on which str(v) == _fmt(v)
-
-
-def _column_text(column):
-    """The fields of a column (an array, list or tuple) as `_fmt` writes them, in
-    one pass: numeric and text arrays go through `tolist`, and a column of
-    plain ints, floats and strs through `str`."""
-    if isinstance(column, np.ndarray) and column.dtype.kind in "fiuU":
-        column = column.tolist()
-    return list(map(str if _PLAIN.issuperset(map(type, column)) else _fmt, column))
 
 
 def _write_csv(path: Path, header: list[str], blocks, files: list[Path]) -> None:
     """Write the header, then the rows of `blocks`, each a tuple of equal-length
     columns, a window of at most _CSV_ROWS rows at a time.
 
-    The bytes are those of a `csv.writer` row writer applying `_fmt` to each
-    value. Fields are never quoted: no value the experiments write holds a
-    comma, a double quote or a line break.
+    A field is `str` of its Python value: an array (numeric, boolean or text)
+    goes through `tolist` first, so a float prints as its shortest repr and an
+    integer in full. Fields are never quoted: no value the experiments write
+    holds a comma, a double quote or a line break.
     """
     if path in files:  # e.g. two sigmas that print alike in a file name
         raise ValueError(f"two outputs of the run would both be {path.name}")
@@ -106,7 +89,8 @@ def _write_csv(path: Path, header: list[str], blocks, files: list[Path]) -> None
         fh.write(",".join(header) + "\n")
         for block in blocks:
             for lo in range(0, len(block[0]), _CSV_ROWS):
-                fields = [_column_text(column[lo:lo + _CSV_ROWS]) for column in block]
+                window = [column[lo:lo + _CSV_ROWS] for column in block]
+                fields = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in window]
                 fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
@@ -120,10 +104,13 @@ def _trajectory_rows(s0, pm: PointerModel, wb: WalkBoundaries, steps, master_see
     steps: the kernel's readings on the ensemble's own streams, and
     `_back_action` iterated over them from s0.
 
-    Trials go in chunks whose readings fit one buffer; a trial longer than it
-    is written as it walks. A lane's draws depend only on (master_seed,
-    seed_path, index), so the chunks leave them unchanged. No block holds more
-    than _CSV_ROWS rows.
+    Trials go in chunks whose readings fit one buffer of _DUMP_READINGS. A
+    trial longer than that is a chunk of its own, and walks in segments of
+    at most _DUMP_READINGS steps, each resuming on the same log-odds and
+    streams. A lane's draws depend only on (master_seed, seed_path, index),
+    and a lane that has not stopped has used every uniform it drew, so the
+    chunks and segments leave them unchanged. No block holds more than
+    _CSV_ROWS rows.
     """
     held = np.cumsum(steps + 1)  # readings plus lanes of trials 0..i
     g, sigma = pm.g, pm.sigma
@@ -135,32 +122,28 @@ def _trajectory_rows(s0, pm: PointerModel, wb: WalkBoundaries, steps, master_see
         n = steps[lo:hi]
         end = np.cumsum(n)  # one past each trial's last row in the chunk
         start = end - n
-        # a lane stops where its trial did: on crossing, or at the cap, which is then n.max()
-        walk = _lockstep(np.full(hi - lo, state_log_odds(s0)), pm, wb, int(n.max()),
-                         LaneStreams(master_seed, seed_path, np.arange(lo, hi)))
-        if hi == lo + 1:  # one trial, perhaps longer than the buffer: windows as it walks
-            readings = (float(x[0]) for _, _, x, _ in walk)
-            windows = iter(lambda: list(islice(readings, _CSV_ROWS)), [])
-        else:
-            buffer = np.empty(int(end[-1]))
-            for t, lanes, x, _ in walk:
+        L = np.full(hi - lo, state_log_odds(s0))
+        streams = LaneStreams(master_seed, seed_path, np.arange(lo, hi))
+        # a chunk of several trials is one segment; in a one-trial chunk, row r is step r + 1
+        for first in range(0, int(end[-1]), _DUMP_READINGS):
+            buffer = np.empty(min(int(end[-1]) - first, _DUMP_READINGS))
+            # a lane stops where its trial did: on crossing, or at the cap, which is then n.max()
+            for t, lanes, x, _ in _lockstep(L, pm, wb, min(int(n.max()) - first, buffer.size),
+                                            streams):
                 buffer[start[lanes] + t - 1] = x
-            windows = (buffer[r:r + _CSV_ROWS].tolist()
-                       for r in range(0, buffer.size, _CSV_ROWS))
-        first = 0  # the chunk's row that opens the window
-        for xs in windows:
-            rows = np.arange(first, first + len(xs))
-            trial = np.searchsorted(end, rows, side="right")
-            step = rows - start[trial] + 1
-            alphas, betas = [], []
-            for t, x in zip(step.tolist(), xs):
-                if t == 1:
-                    alpha, beta = s0.alpha, s0.beta
-                alpha, beta = _back_action(alpha, beta, x, g, sigma)
-                alphas.append(alpha)
-                betas.append(beta)
-            yield trial + lo, step, xs, alphas, betas
-            first += len(xs)
+            for r in range(0, buffer.size, _CSV_ROWS):
+                xs = buffer[r:r + _CSV_ROWS].tolist()
+                rows = np.arange(first + r, first + r + len(xs))
+                trial = np.searchsorted(end, rows, side="right")
+                step = rows - start[trial] + 1
+                alphas, betas = [], []
+                for t, x in zip(step.tolist(), xs):
+                    if t == 1:
+                        alpha, beta = s0.alpha, s0.beta
+                    alpha, beta = _back_action(alpha, beta, x, g, sigma)
+                    alphas.append(alpha)
+                    betas.append(beta)
+                yield trial + lo, step, xs, alphas, betas
         lo = hi
 
 
@@ -367,9 +350,11 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-_SCALAR_KINDS = (  # (type of a default, test of a value, name); bool before int
+# (type of a default, test of a value, name); bool before int. Every integer
+# parameter counts trials, steps or readings, so it is at least 1.
+_SCALAR_KINDS = (
     (bool, lambda v: isinstance(v, bool), "a boolean"),
-    (int, _is_int, "an integer"),
+    (int, lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     (float, lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
      "a finite number"),
     (str, lambda v: isinstance(v, str), "a string"),
@@ -390,8 +375,8 @@ def _kind(default):
 def _domain_objects(experiment: str, p: dict) -> list:
     """(label, constructor call) for each domain object a run with parameters p
     builds; the constructors hold the range rules."""
-    built = [("theta_grid", partial(make_discrimination_pair, t))
-             for t in p.get("theta_grid", ())]
+    theta_rule = helstrom_bound if experiment == "helstrom-table" else make_discrimination_pair
+    built = [("theta_grid", partial(theta_rule, t)) for t in p.get("theta_grid", ())]
     for key, build in (("theta_deg", make_discrimination_pair), ("truth", Candidate),
                        ("start_angle_deg", state_from_angle),
                        ("boundaries", lambda b: WalkBoundaries(*b))):
@@ -404,12 +389,15 @@ def _domain_objects(experiment: str, p: dict) -> list:
         return built + [("sigma", partial(PointerModel, s)) for s in sigmas]
     etas = p.get("eta_grid", [e for e in (p.get("eta1"), p.get("eta2")) if e is not None])
     setups = product(etas, p.get("g_grid", [p.get("g")]), sigmas)
+    if p.get("eta1", 0.0) is None:  # tsvf-separation's default: the optimal eta1
+        built.append(("eta1", partial(optimal_eta, p["g"], p["sigma"])))
     return built + [("eta, g, sigma", partial(TsvfSetup, *c)) for c in setups]
 
 
 def validate(spec: ExperimentSpec) -> list[str]:
     """All spec problems, as strings; empty means runnable. Each parameter must have
-    its default's JSON kind; then the run's domain objects are built, ValueErrors kept."""
+    its default's JSON kind; then the run's domain objects are built, ValueErrors and
+    ArithmeticErrors kept."""
     if not isinstance(spec.experiment, str) or spec.experiment not in EXPERIMENTS:
         return [f"unknown experiment {spec.experiment!r}; choose from {sorted(EXPERIMENTS)}"]
     if not isinstance(spec.parameters, dict):
@@ -434,11 +422,11 @@ def validate(spec: ExperimentSpec) -> list[str]:
     floor = _TRIAL_FLOORS.get(spec.experiment, 1)
     if params.get("trials", floor) < floor:
         errors.append(f"{spec.experiment} needs trials >= {floor}, got {params['trials']}")
-    with np.errstate(all="ignore"):  # only the rules' ValueErrors count here
+    with np.errstate(all="ignore"):  # only the rules' exceptions count here
         for label, build in _domain_objects(spec.experiment, params):
             try:
                 build()
-            except ValueError as exc:
+            except (ValueError, ArithmeticError) as exc:
                 errors.append(f"{label}: {exc}")
     return list(dict.fromkeys(errors))
 

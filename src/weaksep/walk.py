@@ -148,11 +148,6 @@ def _back_action(alpha: float, beta: float, x0: float, g: float,
     return w0 / norm, w1 / norm
 
 
-def bias_update(s: QubitState, x0: float, pm: PointerModel) -> QubitState:
-    """Back-action of reading x0 on the state s (see `_back_action`)."""
-    return QubitState(*_back_action(s.alpha, s.beta, x0, pm.g, pm.sigma))
-
-
 @dataclass
 class WalkEnsemble:
     """Order-insensitive aggregate of independent walk trials."""

@@ -4,9 +4,10 @@ The package draws from one stream form, `stats.LaneStreams`, and walks on one
 lockstep kernel over it. Here `derive_generator` builds one trial's stream as
 a numpy Generator, the form each lane of `LaneStreams` must match bit for
 bit; `run_walk` takes one trial's readings from it, and the decision
-protocols build on it. Also: Born weights, weak values, a rejection
-sampler of post-selected readings, the post-selected needle density over
-an array, and the row-at-a-time CSV writer. The package never imports this.
+protocols build on it. Also: Born weights, the back-action of one reading
+on a state, weak values, a rejection sampler of post-selected readings, the
+post-selected needle density over an array, and the row-at-a-time CSV
+writer. The package never imports this.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from weaksep.qubit import QubitState
 from weaksep.stats import _MIN_UNIFORM, binomial_stderr
 from weaksep.tsvf import TsvfSetup
 from weaksep.walk import (Outcome, PointerModel, WalkBoundaries, _advanced_log_odds,
-                          _reading_from_uniforms, default_max_steps, run_ensemble,
-                          state_log_odds)
+                          _back_action, _reading_from_uniforms, default_max_steps,
+                          run_ensemble, state_log_odds)
 
 
 # stats, moved out of weaksep.stats
@@ -67,6 +68,11 @@ class WalkOutcome:
 
 def _state_from_log_odds(L: float) -> QubitState:
     return QubitState(math.sqrt(float(expit(L))), math.sqrt(float(expit(-L))))
+
+
+def bias_update(s: QubitState, x0: float, pm: PointerModel) -> QubitState:
+    """Back-action of reading x0 on the state s (see `walk._back_action`)."""
+    return QubitState(*_back_action(s.alpha, s.beta, x0, pm.g, pm.sigma))
 
 
 def posterior_weight(S, s0: QubitState, pm: PointerModel):

@@ -21,7 +21,7 @@ from scipy.integrate import quad, simpson
 from scipy.optimize import minimize_scalar
 from scipy.stats import kstest
 
-from oracles import (born_probabilities, derive_generator, needle_density_array,
+from oracles import (bias_update, born_probabilities, derive_generator, needle_density_array,
                      posterior_weight, rejection_sample_batch)
 from weaksep.discriminate import (
     collapse_success_curve,
@@ -46,7 +46,6 @@ from weaksep.walk import (
     Outcome,
     PointerModel,
     WalkBoundaries,
-    bias_update,
     run_ensemble,
 )
 

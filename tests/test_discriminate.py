@@ -152,6 +152,8 @@ class TestHypothesisTrial:
         psi1, _ = make_discrimination_pair(50.0)
         with pytest.raises(ValueError):
             hypothesis_trial(psi1, 0, PointerModel(3.0), derive_generator(110))
+        with pytest.raises(ValueError, match="every m"):
+            hypothesis_success_curves([50.0], [], PointerModel(3.0), 100, 1)
 
     def test_exact_tie_broken_by_coin(self):
         # u=0.5 maps to zero noise, so scripted branch picks give readings

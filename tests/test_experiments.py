@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import weaksep
 import weaksep.experiments as exp
-from oracles import derive_generator, run_walk, write_csv_rows
+from oracles import bias_update, derive_generator, run_walk, write_csv_rows
 from weaksep.cli import main
 from weaksep.experiments import (
     DEFAULT_MASTER_SEED,
@@ -30,7 +30,7 @@ from weaksep.experiments import (
 )
 from weaksep.qubit import state_from_angle
 from weaksep.tsvf import TsvfSetup, optimal_eta, quadrature_moments, separation_report
-from weaksep.walk import PointerModel, WalkBoundaries, bias_update
+from weaksep.walk import PointerModel, WalkBoundaries
 
 
 def read_csv(path):
@@ -88,6 +88,27 @@ class TestValidate:
     def test_run_raises_spec_error(self, tmp_path):
         with pytest.raises(SpecError):
             run(ExperimentSpec("fig2", {"trials": 0}, output_dir=str(tmp_path)))
+
+    @pytest.mark.parametrize("experiment, parameters, runs", [
+        ("fig5", {"m_values": [0]}, False),
+        ("fig6", {"m_values": [0, 5]}, False),
+        ("fig2", {"max_steps": 0}, False),
+        ("fig4", {"max_steps": 0}, False),
+        ("tsvf-separation", {"g": 0, "eta1": None}, False),  # no optimal eta1
+        ("tsvf-separation", {"g": 50}, False),  # the optimal eta1 overflows math.exp
+        ("helstrom-table", {"theta_grid": [0.0, 30.0]}, True),  # the bound is 1/2 at 0
+    ])
+    def test_verdict_is_the_runs(self, tmp_path, capsys, experiment, parameters, runs):
+        out = tmp_path / "out"
+        errors = validate(ExperimentSpec(experiment, parameters))
+        assert (not errors) == runs, errors
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "parameters": parameters,
+                                   "output_dir": str(out)}))
+        assert main(["--config", str(cfg)]) == (0 if runs else 2)
+        if not runs:
+            assert json.loads(capsys.readouterr().err)["error"] == "invalid experiment spec"
+        assert out.exists() == runs
 
 
 class TestHelstromTable:
@@ -199,6 +220,9 @@ class TestTrajectoryDump:
         # and a row window of 7: windows inside a trial, and on the one-trial path
         ("fig2", {"sigma": 5.0, "trials": 40}, 5, 40, 7),
         ("fig3", {"sigma_grid": [2.0, 3.0, 4.0, 5.0], "trials": 30}, 8, 40, 7),
+        # a buffer of 16 against a median walk of about 33 steps: trials that resume
+        # across three or more segments, each cut into windows of 7
+        ("fig2", {"sigma": 5.0, "trials": 40}, 6, 16, 7),
     ])
     def test_rows_are_the_scalar_walks(self, tmp_path, monkeypatch, experiment, parameters,
                                        master_seed, buffer, window):
@@ -361,7 +385,9 @@ _COLUMNS = {
     "strs": (_TEXT, tuple),
     "np.float64": (_FLOATS.map(np.float64), list),
     "np.int64": (_INT64.map(np.int64), list),
-    "bools": (st.one_of(st.booleans(), st.booleans().map(np.bool_)), list),
+    # np.bool_ only: a Python bool prints as True where the row writer's 1, and
+    # no experiment writes one
+    "bools": (st.booleans().map(np.bool_), list),
 }
 
 
@@ -521,12 +547,15 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_failing_run_removes_only_the_directories_it_created(self, tmp_path, capsys):
-        failing = {"trials": 1, "max_steps": 0}
+        # valid, but the second sigma's dump would overwrite the first's file
+        failing = {"sigma_grid": [2.0, 2.0000001, 3.0, 4.0], "trials": 30,
+                   "dump_trajectories": True}
         kept = tmp_path / "kept"
         kept.mkdir()
         for output_dir in (tmp_path / "a" / "b" / "out", kept):
+            assert not validate(ExperimentSpec("fig3", failing, output_dir=str(output_dir)))
             cfg = tmp_path / "spec.json"
-            cfg.write_text(json.dumps({"experiment": "fig4", "parameters": failing,
+            cfg.write_text(json.dumps({"experiment": "fig3", "parameters": failing,
                                        "output_dir": str(output_dir)}))
             assert main(["--config", str(cfg)]) == 2
             assert json.loads(capsys.readouterr().err)["error"] == "invalid experiment spec"

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (born_probabilities, derive_generator, posterior_weight, run_walk,
-                     strong_measure)
+from oracles import (bias_update, born_probabilities, derive_generator, posterior_weight,
+                     run_walk, strong_measure)
 from weaksep.qubit import QubitState, state_from_angle
 from weaksep.walk import (
     Outcome,
     PointerModel,
     WalkBoundaries,
     _reading_from_uniforms,
-    bias_update,
     default_max_steps,
     run_ensemble,
     state_log_odds,
