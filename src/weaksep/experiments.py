@@ -187,7 +187,6 @@ def _run_fig3(params, master_seed, outdir, files) -> dict:
     s0 = state_from_angle(params["start_angle_deg"])
     trials = params["trials"]
     rows = []
-    medians = []
     for k, sigma in enumerate(params["sigma_grid"]):
         pm = PointerModel(sigma)
         ens = run_ensemble(s0, pm, wb, trials, master_seed,
@@ -195,16 +194,20 @@ def _run_fig3(params, master_seed, outdir, files) -> dict:
         collapsed = ens.steps[ens.labels != Outcome.MAXED_OUT]
         if not collapsed.size:
             raise ValueError(f"no walk collapsed within max_steps at sigma {sigma}")
-        med = float(np.median(collapsed))
-        medians.append(med)
-        rows.append((sigma, med, float(np.mean(collapsed)), trials))
+        rows.append((sigma, float(np.median(collapsed)), float(np.mean(collapsed)), trials))
         if params["dump_trajectories"]:
             _write_csv(outdir / f"fig3_trajectories_sigma{sigma:g}.csv", _TRAJECTORY_HEADER,
                        _trajectory_rows(s0, pm, wb, ens.steps, master_seed, (k,)), files)
+    columns = tuple(zip(*rows))
     _write_csv(outdir / "fig3_medians.csv",
-               ["sigma", "median_steps", "mean_steps", "trials"], [tuple(zip(*rows))], files)
-    coeff, r2 = quadratic_scaling_fit(params["sigma_grid"], medians)
+               ["sigma", "median_steps", "mean_steps", "trials"], [columns], files)
+    coeff, r2 = quadratic_scaling_fit(*columns[:2])  # median_steps against sigma
     return {"coefficient": coeff, "r_squared": r2}
+
+
+def _write_success_curve(path: Path, curve, files: list[Path]) -> None:
+    _write_csv(path, ["theta_deg", "success", "stderr", "helstrom"],
+               [(curve.theta_grid, curve.success, curve.stderr, curve.helstrom)], files)
 
 
 def _run_fig4(params, master_seed, outdir, files) -> dict:
@@ -212,9 +215,7 @@ def _run_fig4(params, master_seed, outdir, files) -> dict:
         params["theta_grid"], WalkBoundaries(*params["boundaries"]),
         PointerModel(params["sigma"]), params["trials"], master_seed,
         params["max_steps"])
-    columns = (curve.theta_grid, curve.success, curve.stderr, curve.helstrom)
-    _write_csv(outdir / "fig4_success.csv",
-               ["theta_deg", "success", "stderr", "helstrom"], [columns], files)
+    _write_success_curve(outdir / "fig4_success.csv", curve, files)
     return {"worst_margin_vs_helstrom": float(np.min(curve.success - curve.helstrom))}
 
 
@@ -224,16 +225,14 @@ def _run_fig5(params, master_seed, outdir, files) -> dict:
         params["trials"], master_seed)
     headline = {}
     for m, curve in curves.items():
-        columns = (curve.theta_grid, curve.success, curve.stderr, curve.helstrom)
-        _write_csv(outdir / f"fig5_m{m}.csv",
-                   ["theta_deg", "success", "stderr", "helstrom"], [columns], files)
+        _write_success_curve(outdir / f"fig5_m{m}.csv", curve, files)
         headline[str(m)] = float(curve.success[-1])
     return {"success_at_max_theta": headline}
 
 
 def _run_fig6(params, master_seed, outdir, files) -> dict:
     psi1, psi2 = make_discrimination_pair(params["theta_deg"])
-    truth_state = psi1 if params["truth"] == "psi1" else psi2
+    truth_state = psi1 if Candidate(params["truth"]) is Candidate.PSI1 else psi2
     pm = PointerModel(params["sigma"])
     medians = {}
     for m in dict.fromkeys(params["m_values"]):
@@ -273,27 +272,18 @@ def _run_tsvf_separation(params, master_seed, outdir, files) -> dict:
     if eta1 is None:
         eta1, _ = optimal_eta(g, sigma)
     report = separation_report(eta1, params["eta2"], g, sigma)
-    row = (
-        eta1, params["eta2"], g, sigma,
-        report.moments_1.mean, report.moments_2.mean, report.mean_gap,
-        report.moments_1.variance, report.moments_2.variance,
-        report.moments_1.postselect_prob, report.moments_2.postselect_prob,
-        report.moments_1.acceptance_prob, report.moments_2.acceptance_prob,
-        report.bayes_error,
-    )
-    _write_csv(outdir / "tsvf_separation.csv",
-               ["eta1", "eta2", "g", "sigma", "mean_1", "mean_2", "mean_gap",
-                "variance_1", "variance_2", "postselect_prob_1", "postselect_prob_2",
-                "acceptance_prob_1", "acceptance_prob_2", "bayes_error"],
-               [tuple(zip(row))], files)
-    return {
-        "mean_gap": report.mean_gap,
-        "bayes_error": report.bayes_error,
-        "postselect_prob_1": report.moments_1.postselect_prob,
-        "postselect_prob_2": report.moments_2.postselect_prob,
-        "quadrature_evaluations": report.evaluations,
-        "worst_quadrature_err_ratio": report.worst_err_ratio,
-    }
+    m1, m2 = report.moments_1, report.moments_2
+    row = {"eta1": eta1, "eta2": params["eta2"], "g": g, "sigma": sigma,
+           "mean_1": m1.mean, "mean_2": m2.mean, "mean_gap": report.mean_gap,
+           "variance_1": m1.variance, "variance_2": m2.variance,
+           "postselect_prob_1": m1.postselect_prob, "postselect_prob_2": m2.postselect_prob,
+           "acceptance_prob_1": m1.acceptance_prob, "acceptance_prob_2": m2.acceptance_prob,
+           "bayes_error": report.bayes_error}
+    _write_csv(outdir / "tsvf_separation.csv", list(row), [tuple(zip(row.values()))], files)
+    headline = ("mean_gap", "bayes_error", "postselect_prob_1", "postselect_prob_2")
+    return {**{key: row[key] for key in headline},
+            "quadrature_evaluations": report.evaluations,
+            "worst_quadrature_err_ratio": report.worst_err_ratio}
 
 
 # name -> (default parameters, runner); every default is overridable by a
@@ -336,8 +326,7 @@ EXPERIMENTS = {
 # JSON kinds of the parameters whose default is None, which stays allowed
 _NONE_DEFAULT_KINDS = {"max_steps": 1, "eta1": 1.0}
 # fewest trials a run can summarize, where that is more than one
-_TRIAL_FLOORS = {"fig2": MIN_FIT_SAMPLES, "fig3": MIN_FIT_SAMPLES,
-                 "fig5": MIN_CURVE_TRIALS, "fig6": MIN_CDF_TRIALS}
+_TRIAL_FLOORS = {"fig2": MIN_FIT_SAMPLES, "fig5": MIN_CURVE_TRIALS, "fig6": MIN_CDF_TRIALS}
 
 
 def default_parameters(experiment: str) -> dict:
@@ -428,6 +417,11 @@ def validate(spec: ExperimentSpec) -> list[str]:
                 build()
             except (ValueError, ArithmeticError) as exc:
                 errors.append(f"{label}: {exc}")
+    if spec.experiment == "fig2" and not errors:  # 0-step walks leave no steps to fit
+        wb = WalkBoundaries(*params["boundaries"])
+        if wb.start_outcome(state_from_angle(params["start_angle_deg"])) is not None:
+            errors.append(f"start_angle_deg: {params['start_angle_deg']} is on or past a "
+                          f"boundary of {params['boundaries']}, so no walk takes a step")
     return list(dict.fromkeys(errors))
 
 

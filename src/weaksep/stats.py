@@ -136,7 +136,7 @@ def _pcg_uniforms(hi, lo, out):
 # each ufunc call still covers about _CALL_WIDTH states.
 _CALL_WIDTH = 8192
 _CHUNK_LANES = 1024
-_MAX_JUMP = 64
+_MAX_JUMP = 64  # a draw of more states per lane runs the LCG one step at a time
 
 
 def _jump_table(n: int):
@@ -234,7 +234,6 @@ class LogNormalFit:
     mu_tilde: float
     sigma_tilde: float
     r_squared: float
-    n: int
     r_squared_log_bins: float = float("nan")
     degenerate: bool = False
 
@@ -288,11 +287,11 @@ def fit_lognormal(samples) -> LogNormalFit:
     mu = float(logs.mean())
     sig = float(logs.std())
     if sig < 1e-12:
-        return LogNormalFit(mu, sig, float("nan"), x.size, degenerate=True)
+        return LogNormalFit(mu, sig, float("nan"), degenerate=True)
 
     r2 = _histogram_r2(x, lambda c: _lognorm_pdf(c, sig, math.exp(mu)))
     r2_log = _histogram_r2(logs, lambda c: _norm_pdf(c, mu, sig))
-    return LogNormalFit(mu, sig, r2, x.size, r_squared_log_bins=r2_log)
+    return LogNormalFit(mu, sig, r2, r_squared_log_bins=r2_log)
 
 
 def quadratic_scaling_fit(sigmas, medians) -> tuple[float, float]:

@@ -13,7 +13,8 @@ construction is psi_fin = (|0> + |1>)/sqrt(2), A = Pauli Y and the input
 state ((cos(eta/2) + sin(eta/2))|0> - (cos(eta/2) - sin(eta/2))|1>)/sqrt(2),
 for which the pre-coupling post-selection probability is sin^2(eta/2).
 
-Closed-form conditional moments (E = exp(-2 (g sigma)^2)):
+Closed-form conditional moments (E = exp(-2 (g sigma)^2)), all computed in
+`analytic_moments`:
 
     <X>   = sin(eta) 2 g sigma^2 / (exp(2 (g sigma)^2) - cos(eta))
     <X^2> = sigma^2 (1 - cos(eta) E (1 - 4 g^2 sigma^2)) / (1 - cos(eta) E)
@@ -95,14 +96,6 @@ class MomentReport:
     worst_err_ratio: float = 0.0
 
 
-def mean_fin(setup: TsvfSetup) -> float:
-    """Conditional needle mean, sin(eta) 2 g sigma^2 / (exp(2(g sigma)^2) - cos eta)."""
-    gs2 = (setup.g * setup.sigma) ** 2
-    return math.sin(setup.eta) * 2.0 * setup.g * setup.sigma ** 2 / (
-        math.exp(2.0 * gs2) - math.cos(setup.eta)
-    )
-
-
 def optimal_eta(g: float, sigma: float) -> tuple[float, float]:
     """Angle maximizing the conditional mean, and that maximum.
 
@@ -117,22 +110,16 @@ def optimal_eta(g: float, sigma: float) -> tuple[float, float]:
     return eta_star, mean_max
 
 
-def second_moment_fin(setup: TsvfSetup) -> float:
-    """Conditional second moment of the needle reading."""
+def analytic_moments(setup: TsvfSetup) -> MomentReport:
+    """Closed-form MomentReport for a setup: the module docstring's <X> and <X^2>,
+    and the acceptance (1 - cos(eta) E) / 2."""
     gs2 = (setup.g * setup.sigma) ** 2
     E = math.exp(-2.0 * gs2)
     cos_eta = math.cos(setup.eta)
-    num = 1.0 - cos_eta * E * (1.0 - 4.0 * gs2)
-    den = 1.0 - cos_eta * E
-    return setup.sigma ** 2 * num / den
-
-
-def analytic_moments(setup: TsvfSetup) -> MomentReport:
-    """Closed-form MomentReport for a setup."""
-    m1 = mean_fin(setup)
-    m2 = second_moment_fin(setup)
-    E = math.exp(-2.0 * (setup.g * setup.sigma) ** 2)
-    acceptance = 0.5 * (1.0 - math.cos(setup.eta) * E)
+    sigma2 = setup.sigma ** 2
+    m1 = math.sin(setup.eta) * 2.0 * setup.g * sigma2 / (math.exp(2.0 * gs2) - cos_eta)
+    m2 = sigma2 * (1.0 - cos_eta * E * (1.0 - 4.0 * gs2)) / (1.0 - cos_eta * E)
+    acceptance = 0.5 * (1.0 - cos_eta * E)
     return MomentReport(m1, m2, m2 - m1 * m1, setup.postselect_prob, acceptance)
 
 

@@ -45,7 +45,7 @@ import numpy as np
 from scipy.special import expit, ndtri
 
 from .qubit import QubitState
-from .stats import _MIN_UNIFORM, LaneStreams
+from .stats import _MAX_JUMP, _MIN_UNIFORM, LaneStreams
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,12 @@ class WalkBoundaries:
     def log_odds_one(self) -> float:
         """Crossing toward |1>: L <= this threshold."""
         return _log_odds_of_angle(self.a1_tilde)
+
+    def start_outcome(self, s0: QubitState) -> Outcome | None:
+        """The outcome of a walk from s0 on or past a boundary, which takes no step; else None."""
+        angle = s0.angle_deg
+        return (Outcome.ZERO if angle <= self.a0_tilde
+                else Outcome.ONE if angle >= self.a1_tilde else None)
 
 
 class Outcome(enum.IntEnum):
@@ -159,7 +165,7 @@ class WalkEnsemble:
         return float(np.mean(self.labels == label))
 
 
-_BLOCK_STEPS = 32  # uniforms are drawn per lane in blocks of 2 * this
+_BLOCK_STEPS = _MAX_JUMP // 2  # a block's 2 uniforms per step stay within the jump table
 
 
 def _lockstep(L, pm: PointerModel, wb: WalkBoundaries | None, max_steps: int,
@@ -233,9 +239,8 @@ def run_ensemble(
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
 
-    angle = s0.angle_deg
-    if angle <= wb.a0_tilde or angle >= wb.a1_tilde:
-        crossed = Outcome.ZERO if angle <= wb.a0_tilde else Outcome.ONE
+    crossed = wb.start_outcome(s0)
+    if crossed is not None:
         return WalkEnsemble(np.zeros(trials, dtype=np.int64),
                             np.full(trials, int(crossed), dtype=np.int8))
 

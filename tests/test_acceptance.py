@@ -37,7 +37,6 @@ from weaksep.stats import fit_lognormal, quadratic_scaling_fit
 from weaksep.tsvf import (
     TsvfSetup,
     analytic_moments,
-    mean_fin,
     optimal_eta,
     quadrature_moments,
     separation_report,
@@ -239,7 +238,7 @@ def test_c10_optimal_deflection():
         g, sigma = gs / 2.0, 2.0
         eta_star, mean_max = optimal_eta(g, sigma)
         # independent check: numeric maximization of the mean over eta
-        res = minimize_scalar(lambda e: -mean_fin(TsvfSetup(e, g, sigma)),
+        res = minimize_scalar(lambda e: -analytic_moments(TsvfSetup(e, g, sigma)).mean,
                               bounds=(1e-6, math.pi), method="bounded",
                               options={"xatol": 1e-12})
         numeric_max = -res.fun

@@ -3,10 +3,12 @@ import io
 import json
 import math
 import os
+import signal
 import string
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -97,6 +99,8 @@ class TestValidate:
         ("tsvf-separation", {"g": 0, "eta1": None}, False),  # no optimal eta1
         ("tsvf-separation", {"g": 50}, False),  # the optimal eta1 overflows math.exp
         ("helstrom-table", {"theta_grid": [0.0, 30.0]}, True),  # the bound is 1/2 at 0
+        ("fig3", {"trials": 10, "sigma_grid": [2.0, 3.0, 4.0, 5.0]}, True),  # fits no log-normal
+        ("fig2", {"start_angle_deg": 5.0, "trials": 40}, False),  # 0-step walks: nothing to fit
     ])
     def test_verdict_is_the_runs(self, tmp_path, capsys, experiment, parameters, runs):
         out = tmp_path / "out"
@@ -347,6 +351,20 @@ class TestTsvfSeparation:
         assert headline["worst_quadrature_err_ratio"] == report.worst_err_ratio
         assert max(q1.worst_err_ratio, q2.worst_err_ratio) <= report.worst_err_ratio <= 1.0
 
+    def test_bayes_error_quadrature_limit_is_a_json_error(self, tmp_path, capsys):
+        # validate() accepts the spec, but QUADPACK stops short of the Bayes-error
+        # tolerance on the kinks of min(p1, p2); a known limit, reported, not fixed
+        parameters = {"g": 2.0, "sigma": 1.0}
+        assert validate(ExperimentSpec("tsvf-separation", parameters)) == []
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"experiment": "tsvf-separation", "parameters": parameters,
+                                   "output_dir": str(tmp_path / "out")}))
+        assert main(["--config", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid experiment spec"
+        assert "QuadratureError" in err["details"][0]
+        assert list(tmp_path.iterdir()) == [cfg]
+
 
 class TestScipyImports:
     def test_only_tsvf_quadrature_loads_scipy_integrate(self, tmp_path):
@@ -571,6 +589,38 @@ class TestCli:
                                        "output_dir": output_dir}))
             assert main(["--config", str(cfg)]) == 2
             assert json.loads(capsys.readouterr().err)["error"] == error
+
+    @pytest.mark.parametrize("argv, error", [
+        (["fig9"], "invalid experiment spec"),
+        (["fig2", "--seed", "abc"], "invalid invocation"),
+        (["fig2", "--trials", "x"], "invalid invocation"),
+        (["--bogus"], "invalid invocation"),
+    ])
+    def test_bad_invocation_gives_json_error_and_exit_2(self, tmp_path, capsys, argv, error):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == error
+        assert not (tmp_path / "out").exists()
+
+    def test_sigterm_removes_partial_outputs_and_exits_143(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        src = str(Path(weaksep.__file__).resolve().parents[1])
+        proc = subprocess.Popen([sys.executable, "-m", "weaksep.cli", "fig3", "--out", str(out)],
+                                env={**os.environ, "PYTHONPATH": src},
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not out.exists() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert out.exists(), "the run made no output directory"
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 143
+        assert json.loads(err)["error"] == "interrupted; partial outputs removed"
+        assert not list(tmp_path.iterdir())
 
     def test_missing_experiment(self, capsys):
         assert main([]) == 2

@@ -15,11 +15,9 @@ from weaksep.qubit import QubitState
 from weaksep.tsvf import (
     TsvfSetup,
     analytic_moments,
-    mean_fin,
     needle_density,
     optimal_eta,
     quadrature_moments,
-    second_moment_fin,
     separation_report,
 )
 
@@ -29,7 +27,7 @@ def mean_fin_from_weak_value(b: float, g: float, sigma: float) -> float:
 
     Uses the closed Gaussian moments <X sin 2gX> = 2 g sigma^2 E and
     <cos 2gX> = E with E = exp(-2 (g sigma)^2); algebraically identical to
-    the eta-parametrized `mean_fin`.
+    the eta-parametrized mean of `analytic_moments`.
     """
     a_plus = 0.5 * (1.0 + b * b)
     a_minus = 0.5 * (1.0 - b * b)
@@ -114,19 +112,19 @@ class TestInputState:
 
 class TestMeanFin:
     def test_no_coupling_no_deflection(self):
-        assert mean_fin(TsvfSetup(1.0, 0.0, 2.0)) == 0.0
+        assert analytic_moments(TsvfSetup(1.0, 0.0, 2.0)).mean == 0.0
 
     def test_vanishing_eta_limit(self):
-        assert mean_fin(TsvfSetup(1e-9, 0.1, 2.0)) == pytest.approx(0.0, abs=1e-6)
+        assert analytic_moments(TsvfSetup(1e-9, 0.1, 2.0)).mean == pytest.approx(0.0, abs=1e-6)
 
     @settings(max_examples=40, deadline=None)
     @given(etas, st.floats(min_value=1e-3, max_value=0.5), spreads)
     @example(eta=0.02, g=0.001, sigma=1.0159769581769804)  # kappa ~ 4949
     def test_matches_raw_weak_value_form(self, eta, g, sigma):
-        # mean_fin divides by exp(2 (g sigma)^2) - cos(eta), whose condition number
+        # the closed-form mean divides by exp(2 (g sigma)^2) - cos(eta), whose condition number
         # kappa reaches about 5e3 on these strategies; the + 1 covers the other roundings
         setup = TsvfSetup(eta, g, sigma)
-        direct = mean_fin(setup)
+        direct = analytic_moments(setup).mean
         mixture = mean_fin_from_weak_value(setup.b, g, sigma)
         e2 = math.exp(2.0 * (g * sigma) ** 2)
         kappa = e2 / (e2 - math.cos(eta))
@@ -137,7 +135,7 @@ class TestMeanFin:
     @given(etas, st.floats(min_value=1e-3, max_value=0.5), spreads)
     def test_nonnegative_and_bounded_by_max(self, eta, g, sigma):
         setup = TsvfSetup(eta, g, sigma)
-        value = mean_fin(setup)
+        value = analytic_moments(setup).mean
         _, mean_max = optimal_eta(g, sigma)
         assert -1e-15 <= value <= mean_max * (1 + 1e-12)
 
@@ -151,12 +149,12 @@ class TestOptimalEta:
     def test_is_the_argmax(self):
         g, sigma = 0.05, 2.0
         eta_star, mean_max = optimal_eta(g, sigma)
-        assert mean_fin(TsvfSetup(eta_star, g, sigma)) == pytest.approx(
+        assert analytic_moments(TsvfSetup(eta_star, g, sigma)).mean == pytest.approx(
             mean_max, rel=1e-12)
         for delta in (-1e-3, 1e-3):
-            assert mean_fin(TsvfSetup(eta_star + delta, g, sigma)) <= mean_max
+            assert analytic_moments(TsvfSetup(eta_star + delta, g, sigma)).mean <= mean_max
         grid = np.linspace(1e-3, math.pi, 4001)
-        values = [mean_fin(TsvfSetup(e, g, sigma)) for e in grid]
+        values = [analytic_moments(TsvfSetup(e, g, sigma)).mean for e in grid]
         assert max(values) <= mean_max + 1e-12
         assert abs(grid[int(np.argmax(values))] - eta_star) < 2e-3
 
@@ -175,17 +173,17 @@ class TestSecondMoment:
         for g in GRID_G:
             for sigma in GRID_SIGMA:
                 setup = TsvfSetup(math.pi / 2, g, sigma)
-                assert second_moment_fin(setup) == pytest.approx(
+                assert analytic_moments(setup).second_moment == pytest.approx(
                     sigma * sigma, rel=1e-14)
 
     def test_weak_coupling_limit_at_fixed_eta(self):
         setup = TsvfSetup(1.0, 1e-3, 1.0)
-        assert second_moment_fin(setup) == pytest.approx(1.0, rel=1e-5)
+        assert analytic_moments(setup).second_moment == pytest.approx(1.0, rel=1e-5)
 
     def test_value_at_optimal_eta(self):
         g, sigma = 0.05, 2.0
         eta_star, _ = optimal_eta(g, sigma)
-        got = second_moment_fin(TsvfSetup(eta_star, g, sigma))
+        got = analytic_moments(TsvfSetup(eta_star, g, sigma)).second_moment
         assert got / sigma**2 == pytest.approx(1.980133329777913, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
