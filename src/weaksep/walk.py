@@ -33,12 +33,20 @@ the trajectory dump of `experiments`. Lane i walks on lane i of a
 spawn_key=(*seed_path, i))`` as uint64 words, so a trial is a pure function
 of (master_seed, seed_path, index); the tests hold it to a scalar walk on a
 Generator of that stream, bit for bit.
+
+`run_ensemble` walks its lanes in equal contiguous slices of at most
+`_MAX_SLICE_LANES`, which bounds the kernel's memory, on one forked worker
+per CPU of the affinity mask with at least `_MIN_WORKER_LANES` lanes each,
+and joins them in lane order, so no result depends on the worker count. With
+one worker, in a daemonic process or beside other threads it walks them in turn.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,6 +224,28 @@ def _lockstep(L, pm: PointerModel, wb: WalkBoundaries | None, max_steps: int,
         active = active[alive]
 
 
+_MIN_WORKER_LANES = 1024  # a worker's fewest lanes; a pool takes about 4 ms to start and end
+_MAX_SLICE_LANES = 1 << 14  # a slice's most lanes, about 13 MB of kernel state
+_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+
+
+def _walk_slice(L0, pm, wb, max_steps, master_seed, seed_path, start, stop):
+    """The steps and final log-odds of lanes start..stop-1 of an ensemble from L0."""
+    L = np.full(stop - start, L0)
+    streams = LaneStreams(master_seed, seed_path, np.arange(start, stop))
+    steps = np.full(stop - start, max_steps, dtype=np.int64)
+    for t, _, _, crossed in _lockstep(L, pm, wb, max_steps, streams):
+        steps[crossed] = t
+    return steps, L
+
+
+def _start_pool_worker():
+    # pool.terminate() ends a worker with SIGTERM; Ctrl-C is for the parent to handle
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
+
+
 def run_ensemble(
     s0: QubitState,
     pm: PointerModel,
@@ -229,8 +259,8 @@ def run_ensemble(
 
     Trial i consumes only the stream derived from (master_seed, *seed_path, i),
     so its outcome does not depend on the other trials; trials are advanced
-    in lockstep purely for speed. seed_path namespaces ensembles that share
-    one master seed (e.g. grid points of a curve).
+    in lockstep, and in slices on worker processes, purely for speed. seed_path
+    namespaces ensembles that share one master seed (e.g. grid points of a curve).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -244,11 +274,30 @@ def run_ensemble(
         return WalkEnsemble(np.zeros(trials, dtype=np.int64),
                             np.full(trials, int(crossed), dtype=np.int8))
 
-    L = np.full(trials, state_log_odds(s0), dtype=float)
-    streams = LaneStreams(master_seed, seed_path, np.arange(trials))
-    steps = np.full(trials, max_steps, dtype=np.int64)
-    for t, _, _, crossed in _lockstep(L, pm, wb, max_steps, streams):
-        steps[crossed] = t
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = max(1, min(cpus, trials // _MIN_WORKER_LANES))
+    if workers > 1:
+        import multiprocessing  # here, so that importing weaksep does not load it
+        import threading
+        if multiprocessing.current_process().daemon or threading.active_count() > 1:
+            workers = 1  # a daemon may have no children, and fork is unsafe with threads
+    n = workers * -(-trials // (workers * _MAX_SLICE_LANES))  # slices, whole rounds of them
+    jobs = [(state_log_odds(s0), pm, wb, max_steps, master_seed, seed_path,
+             trials * k // n, trials * (k + 1) // n) for k in range(n)]
+    if workers == 1:
+        results = [_walk_slice(*job) for job in jobs]
+    else:
+        # the pool starts and ends with the stop signals blocked: a worker gets them
+        # once _start_pool_worker has set its handlers, and no signal cuts terminate() short
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+        try:
+            with multiprocessing.get_context("fork").Pool(workers, _start_pool_worker) as pool:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                results = pool.starmap(_walk_slice, jobs, chunksize=1)
+                signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    steps, L = (np.concatenate(parts) for parts in zip(*results))
     # every lane took at least one step, so its final L tells how it ended
     labels = np.select([L >= wb.log_odds_zero, L <= wb.log_odds_one],
                        [int(Outcome.ZERO), int(Outcome.ONE)],

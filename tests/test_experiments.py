@@ -622,6 +622,38 @@ class TestCli:
         assert json.loads(err)["error"] == "interrupted; partial outputs removed"
         assert not list(tmp_path.iterdir())
 
+    def test_ctrl_c_to_the_process_group_ends_every_process(self, tmp_path):
+        # Ctrl-C sends SIGINT to the whole foreground group: the run and its ensemble's
+        # pool workers, which must leave the cleanup to the run and print nothing
+        out = tmp_path / "a" / "b"
+        src = str(Path(weaksep.__file__).resolve().parents[1])
+        proc = subprocess.Popen([sys.executable, "-m", "weaksep.cli", "fig3", "--out", str(out)],
+                                env={**os.environ, "PYTHONPATH": src}, start_new_session=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        pgid = proc.pid
+        try:
+            deadline = time.monotonic() + 60
+            while not out.exists() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert out.exists(), "the run made no output directory"
+            time.sleep(0.2)  # into fig3's sigma 10 or 15 ensemble, walked by a pool
+            os.killpg(pgid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 130
+            assert json.loads(err)["error"] == "interrupted; partial outputs removed"
+            assert not list(tmp_path.iterdir())
+            deadline = time.monotonic() + 10  # time for the group's last exit to be reaped
+            with contextlib.suppress(ProcessLookupError):
+                while time.monotonic() < deadline:
+                    os.killpg(pgid, 0)
+                    time.sleep(0.01)
+            with pytest.raises(ProcessLookupError):
+                os.killpg(pgid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(pgid, signal.SIGKILL)
+            proc.kill()
+
     def test_missing_experiment(self, capsys):
         assert main([]) == 2
         err = json.loads(capsys.readouterr().err)
