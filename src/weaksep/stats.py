@@ -235,7 +235,6 @@ class LogNormalFit:
     sigma_tilde: float
     r_squared: float
     r_squared_log_bins: float = float("nan")
-    degenerate: bool = False
 
     @property
     def median(self) -> float:
@@ -276,7 +275,7 @@ def fit_lognormal(samples) -> LogNormalFit:
     mu_tilde and sigma_tilde are the mean and (population) standard deviation
     of log(samples). r_squared compares the normalized histogram (Sturges
     binning) against the fitted density at the bin centers. A zero-spread
-    sample is flagged degenerate instead of reporting a meaningless r_squared.
+    sample has no histogram to score, so both scores are NaN.
     """
     x = np.asarray(samples, dtype=float)
     if x.size < MIN_FIT_SAMPLES:
@@ -287,7 +286,7 @@ def fit_lognormal(samples) -> LogNormalFit:
     mu = float(logs.mean())
     sig = float(logs.std())
     if sig < 1e-12:
-        return LogNormalFit(mu, sig, float("nan"), degenerate=True)
+        return LogNormalFit(mu, sig, float("nan"))
 
     r2 = _histogram_r2(x, lambda c: _lognorm_pdf(c, sig, math.exp(mu)))
     r2_log = _histogram_r2(logs, lambda c: _norm_pdf(c, mu, sig))

@@ -68,10 +68,6 @@ class TsvfSetup:
         return 0.5 * (1.0 + self.b * self.b)
 
     @property
-    def a_minus(self) -> float:
-        return 0.5 * (1.0 - self.b * self.b)
-
-    @property
     def postselect_prob(self) -> float:
         """Pre-coupling overlap probability |<psi_fin|psi_in>|^2 = sin^2(eta/2)."""
         return math.sin(self.eta / 2.0) ** 2
@@ -127,7 +123,7 @@ def needle_density(x: float, setup: TsvfSetup):
     """Unnormalized conditional reading density (cos gx + b sin gx)^2 N(x; 0, sigma^2).
 
     Includes the Gaussian normalizer, so the total mass is
-    a_plus + a_minus exp(-2 (g sigma)^2). x is one float, as QUADPACK passes it.
+    (1 + b^2)/2 + (1 - b^2)/2 exp(-2 (g sigma)^2). x is one float, as QUADPACK passes it.
     """
     sig = setup.sigma
     # math.cos, math.sin and math.pow(amp, 2.0) equal np.cos, np.sin and np.float_power,
@@ -172,14 +168,11 @@ def quadrature_moments(setup: TsvfSetup) -> MomentReport:
 
 @dataclass
 class SeparationReport:
-    """Exact one-sample discrimination numbers for two setups sharing (g, sigma)."""
+    """Exact one-sample discrimination numbers for two setups sharing (g, sigma):
+    closed-form moments, mean gap, Bayes error and the quadrature work behind them."""
 
-    setup_1: TsvfSetup
-    setup_2: TsvfSetup
     moments_1: MomentReport
     moments_2: MomentReport
-    quadrature_1: MomentReport
-    quadrature_2: MomentReport
     mean_gap: float
     bayes_error: float
     evaluations: int  # over all seven quadratures
@@ -204,6 +197,6 @@ def separation_report(eta1: float, eta2: float, g: float, sigma: float) -> Separ
     z2 = q2.acceptance_prob / s2.postselect_prob
     overlap, n, r = _quad(lambda x: min(needle_density(x, s1) / z1, needle_density(x, s2) / z2),
                           -lim, lim, 1.0)
-    return SeparationReport(s1, s2, a1, a2, q1, q2, a1.mean - a2.mean, 0.5 * overlap,
+    return SeparationReport(a1, a2, a1.mean - a2.mean, 0.5 * overlap,
                             q1.evaluations + q2.evaluations + n,
                             max(q1.worst_err_ratio, q2.worst_err_ratio, r))

@@ -281,11 +281,13 @@ def run_ensemble(
         import threading
         if multiprocessing.current_process().daemon or threading.active_count() > 1:
             workers = 1  # a daemon may have no children, and fork is unsafe with threads
+    # the outputs first, so that a trial count too large to hold fails at once
+    steps, L = np.empty(trials, dtype=np.int64), np.empty(trials)
     n = workers * -(-trials // (workers * _MAX_SLICE_LANES))  # slices, whole rounds of them
     jobs = [(state_log_odds(s0), pm, wb, max_steps, master_seed, seed_path,
              trials * k // n, trials * (k + 1) // n) for k in range(n)]
     if workers == 1:
-        results = [_walk_slice(*job) for job in jobs]
+        results = (_walk_slice(*job) for job in jobs)  # each slice freed once copied
     else:
         # the pool starts and ends with the stop signals blocked: a worker gets them
         # once _start_pool_worker has set its handlers, and no signal cuts terminate() short
@@ -297,7 +299,8 @@ def run_ensemble(
                 signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    steps, L = (np.concatenate(parts) for parts in zip(*results))
+    for (*_, start, stop), part in zip(jobs, results):
+        steps[start:stop], L[start:stop] = part
     # every lane took at least one step, so its final L tells how it ended
     labels = np.select([L >= wb.log_odds_zero, L <= wb.log_odds_one],
                        [int(Outcome.ZERO), int(Outcome.ONE)],

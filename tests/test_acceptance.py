@@ -287,19 +287,19 @@ def test_c12_separation_honesty():
     ok = ok and abs(report.moments_1.second_moment / sigma**2
                     - 1.980133329777913) < 1e-12
     ok = ok and report.moments_1.variance > 0.9 * sigma**2
-    for setup, mom in ((report.setup_1, report.moments_1),
-                       (report.setup_2, report.moments_2)):
+    setups = (TsvfSetup(eta1, g, sigma), TsvfSetup(2.0, g, sigma))
+    oracles = [quadrature_moments(setup) for setup in setups]
+    for setup, mom in zip(setups, (report.moments_1, report.moments_2)):
         ok = ok and abs(mom.postselect_prob
                         - math.sin(setup.eta / 2.0) ** 2) < 1e-12
-    for mom, orc in ((report.moments_1, report.quadrature_1),
-                     (report.moments_2, report.quadrature_2)):
+    for mom, orc in zip((report.moments_1, report.moments_2), oracles):
         ok = ok and abs(mom.mean - orc.mean) < 1e-8 * sigma
         ok = ok and abs(mom.second_moment - orc.second_moment) < 1e-8 * sigma**2
     xs = np.linspace(-12 * sigma, 12 * sigma, 96001)
-    z1 = report.quadrature_1.acceptance_prob / report.setup_1.postselect_prob
-    z2 = report.quadrature_2.acceptance_prob / report.setup_2.postselect_prob
-    grid_bayes = 0.5 * simpson(np.minimum(needle_density_array(xs, report.setup_1) / z1,
-                                          needle_density_array(xs, report.setup_2) / z2),
+    z1, z2 = (orc.acceptance_prob / setup.postselect_prob
+              for orc, setup in zip(oracles, setups))
+    grid_bayes = 0.5 * simpson(np.minimum(needle_density_array(xs, setups[0]) / z1,
+                                          needle_density_array(xs, setups[1]) / z2),
                                x=xs)
     ok = ok and abs(report.bayes_error - grid_bayes) < 1e-6
     _finish("12 separation-honesty", ok,

@@ -34,6 +34,9 @@ from weaksep.qubit import state_from_angle
 from weaksep.tsvf import TsvfSetup, optimal_eta, quadrature_moments, separation_report
 from weaksep.walk import PointerModel, WalkBoundaries
 
+SRC = str(Path(weaksep.__file__).resolve().parents[1])  # PYTHONPATH for a child process
+RUN_ALL_FIGURES = Path(__file__).resolve().parents[1] / "scripts" / "run_all_figures.py"
+
 
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -343,8 +346,9 @@ class TestTsvfSeparation:
 
     def test_headline_reports_quadrature_work(self, tmp_path):
         headline = run(ExperimentSpec("tsvf-separation", {}, 13, str(tmp_path))).headline
-        report = separation_report(optimal_eta(0.05, 2.0)[0], 2.0, 0.05, 2.0)
-        q1, q2 = report.quadrature_1, report.quadrature_2
+        eta1 = optimal_eta(0.05, 2.0)[0]
+        report = separation_report(eta1, 2.0, 0.05, 2.0)
+        q1, q2 = (quadrature_moments(TsvfSetup(eta, 0.05, 2.0)) for eta in (eta1, 2.0))
         # the seven quadratures: three moments of each setup, then the overlap
         assert headline["quadrature_evaluations"] == report.evaluations
         assert report.evaluations > q1.evaluations + q2.evaluations > 0
@@ -378,9 +382,8 @@ class TestScipyImports:
             f"run(ExperimentSpec('tsvf-separation', {{}}, 1, {str(tmp_path)!r}))\n"
             "print(json.dumps([before, [n for n in names if n in sys.modules]]))\n"
         )
-        src = str(Path(weaksep.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", script],
-                             env={**os.environ, "PYTHONPATH": src},
+                             env={**os.environ, "PYTHONPATH": SRC},
                              capture_output=True, text=True, check=True, timeout=120)
         before, after = json.loads(out.stdout)
         assert before == []
@@ -551,6 +554,7 @@ class TestCli:
         ("fig6", {"trials": 10**15}),  # 7 PiB of lane indices: the allocation fails at once
         ("fig3", {"trials": 40, "sigma_grid": [2.0, 2.0000001, 3.0, 4.0],
                   "dump_trajectories": True}),  # two dumps named ..._sigma2.csv
+        ("fig2", {"trials": 10**15}),  # 16 PB of walk outputs, allocated before any slice
     ])
     def test_failing_runs_give_json_error_and_exit_2(self, tmp_path, capsys, experiment,
                                                      parameters):
@@ -605,9 +609,8 @@ class TestCli:
 
     def test_sigterm_removes_partial_outputs_and_exits_143(self, tmp_path):
         out = tmp_path / "a" / "b"
-        src = str(Path(weaksep.__file__).resolve().parents[1])
         proc = subprocess.Popen([sys.executable, "-m", "weaksep.cli", "fig3", "--out", str(out)],
-                                env={**os.environ, "PYTHONPATH": src},
+                                env={**os.environ, "PYTHONPATH": SRC},
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         try:
             deadline = time.monotonic() + 60
@@ -626,9 +629,8 @@ class TestCli:
         # Ctrl-C sends SIGINT to the whole foreground group: the run and its ensemble's
         # pool workers, which must leave the cleanup to the run and print nothing
         out = tmp_path / "a" / "b"
-        src = str(Path(weaksep.__file__).resolve().parents[1])
         proc = subprocess.Popen([sys.executable, "-m", "weaksep.cli", "fig3", "--out", str(out)],
-                                env={**os.environ, "PYTHONPATH": src}, start_new_session=True,
+                                env={**os.environ, "PYTHONPATH": SRC}, start_new_session=True,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         pgid = proc.pid
         try:
@@ -642,6 +644,46 @@ class TestCli:
             assert proc.returncode == 130
             assert json.loads(err)["error"] == "interrupted; partial outputs removed"
             assert not list(tmp_path.iterdir())
+            deadline = time.monotonic() + 10  # time for the group's last exit to be reaped
+            with contextlib.suppress(ProcessLookupError):
+                while time.monotonic() < deadline:
+                    os.killpg(pgid, 0)
+                    time.sleep(0.01)
+            with pytest.raises(ProcessLookupError):
+                os.killpg(pgid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(pgid, signal.SIGKILL)
+            proc.kill()
+
+    def test_run_all_figures_bad_seed_gives_json_error_and_exit_2(self, tmp_path):
+        out = tmp_path / "results"
+        proc = subprocess.run([sys.executable, str(RUN_ALL_FIGURES), "--seed", "-1",
+                               "--out", str(out)], env={**os.environ, "PYTHONPATH": SRC},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == "invalid experiment spec"
+        assert not out.exists()
+
+    def test_run_all_figures_sigterm_ends_every_process_and_keeps_finished_runs(self, tmp_path):
+        # fig2 runs first and finishes; the SIGTERM lands in fig3, whose partial outputs go
+        out = tmp_path / "results"
+        proc = subprocess.Popen([sys.executable, str(RUN_ALL_FIGURES), "--out", str(out)],
+                                env={**os.environ, "PYTHONPATH": SRC}, start_new_session=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        pgid = proc.pid
+        try:
+            deadline = time.monotonic() + 60
+            while not (out / "fig3").exists() and proc.poll() is None \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert (out / "fig3").exists(), "the script made no fig3 directory"
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 143
+            assert json.loads(err)["error"] == "interrupted; partial outputs removed"
+            assert [p.name for p in out.iterdir()] == ["fig2"]
+            assert (out / "fig2" / "summary.json").exists()
             deadline = time.monotonic() + 10  # time for the group's last exit to be reaped
             with contextlib.suppress(ProcessLookupError):
                 while time.monotonic() < deadline:

@@ -100,7 +100,7 @@ class TestFitLognormal:
         assert fit.sigma_tilde == pytest.approx(0.71, abs=0.02)
         assert fit.median == pytest.approx(math.exp(fit.mu_tilde), rel=1e-12)
         assert fit.r_squared_log_bins > 0.99
-        assert not fit.degenerate
+        assert not math.isnan(fit.r_squared)
 
     def test_scale_equivariance(self):
         rng = derive_generator(22)
@@ -110,11 +110,11 @@ class TestFitLognormal:
         assert scaled.mu_tilde - base.mu_tilde == pytest.approx(math.log(7.0), abs=1e-12)
         assert scaled.sigma_tilde == pytest.approx(base.sigma_tilde, abs=1e-12)
 
-    def test_constant_samples_flagged_degenerate(self):
+    def test_constant_samples_score_nan(self):
         fit = fit_lognormal(np.full(100, 4.0))
-        assert fit.degenerate
         assert fit.sigma_tilde == pytest.approx(0.0, abs=1e-15)
         assert math.isnan(fit.r_squared)
+        assert math.isnan(fit.r_squared_log_bins)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

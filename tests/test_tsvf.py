@@ -59,7 +59,6 @@ class TestSetup:
         s = TsvfSetup(math.pi / 2, 0.1, 2.0)
         assert s.b == pytest.approx(1.0, abs=1e-12)
         assert s.a_plus == pytest.approx(1.0, abs=1e-12)
-        assert s.a_minus == pytest.approx(0.0, abs=1e-12)
         assert s.postselect_prob == pytest.approx(0.5, abs=1e-12)
 
 
@@ -228,7 +227,7 @@ class TestNeedleDensity:
             setup = TsvfSetup(eta, g, sigma)
             mass, _ = quad(lambda x: needle_density(x, setup),
                            -12 * sigma, 12 * sigma, limit=300)
-            want = setup.a_plus + setup.a_minus * math.exp(-2 * (g * sigma) ** 2)
+            want = setup.a_plus + (1 - setup.b ** 2) / 2 * math.exp(-2 * (g * sigma) ** 2)
             assert mass == pytest.approx(want, rel=1e-10)
 
 
@@ -373,10 +372,10 @@ class TestSeparationReport:
         g, sigma = 0.05, 2.0
         eta1, _ = optimal_eta(g, sigma)
         report = separation_report(eta1, 2.0, g, sigma)
-        s1, s2 = report.setup_1, report.setup_2
+        s1, s2 = TsvfSetup(eta1, g, sigma), TsvfSetup(2.0, g, sigma)
         xs = np.linspace(-12 * sigma, 12 * sigma, 96001)
-        z1 = report.quadrature_1.acceptance_prob / s1.postselect_prob
-        z2 = report.quadrature_2.acceptance_prob / s2.postselect_prob
+        z1 = quadrature_moments(s1).acceptance_prob / s1.postselect_prob
+        z2 = quadrature_moments(s2).acceptance_prob / s2.postselect_prob
         integrand = np.minimum(needle_density_array(xs, s1) / z1,
                                needle_density_array(xs, s2) / z2)
         grid_value = 0.5 * simpson(integrand, x=xs)

@@ -308,6 +308,12 @@ class TestRunEnsemble:
         assert np.all(ens.steps == 0)
         assert np.all(ens.labels == Outcome.ZERO)
 
+    @pytest.mark.parametrize("trials, max_steps", [(0, None), (-3, None), (10, 0), (10, -1)])
+    def test_bad_trials_or_max_steps(self, trials, max_steps):
+        with pytest.raises(ValueError):
+            run_ensemble(state_from_angle(45.0), PointerModel(5.0),
+                         WalkBoundaries(10.0, 80.0), trials, 1, max_steps=max_steps)
+
     def test_born_rule_collapse_fractions(self):
         # near-axis boundaries: P(collapse to ZERO) approaches the Born weight
         pm = PointerModel(5.0)

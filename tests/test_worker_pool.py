@@ -140,8 +140,8 @@ def test_daemonic_process_walks_serially(parallel):
 
 def test_serial_memory_is_one_slice_and_the_outputs(monkeypatch):
     # Unsliced, this walk peaks at about 52 MB of numpy memory (0.25 KB per lane at
-    # 8 steps); in slices of _MAX_SLICE_LANES it peaks at about 8.4 MB: one
-    # slice, and 17 bytes per trial of outputs held twice while they are joined.
+    # 8 steps); in slices of _MAX_SLICE_LANES it peaks at about 7.8 MB: one slice,
+    # and the 16 bytes per trial of steps and final log-odds that each slice fills.
     set_cpus(monkeypatch, 1)
     trials = 200_000
     tracemalloc.start()
