@@ -14,7 +14,8 @@ Curve ensembles draw the truth for each trial from the trial's own stream
 (one uniform before the readings) and reuse each trial's reading prefix
 across the m values, so success estimates for different m are coupled by
 common random numbers. The sign-test curves and `average_cdf` take their
-m-reading averages from one walk, `_reading_means`.
+m-reading averages from one walk, `_reading_means`; `average_cdf` walks its
+trials 2^14 (`walk._MAX_SLICE_LANES`) at a time, so it holds one slice's walk.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 
 from .qubit import QubitState, helstrom_bound, make_discrimination_pair
 from .stats import binomial_stderr, empirical_cdf, EmpiricalCdf, LaneStreams
-from .walk import Outcome, PointerModel, WalkBoundaries, _lockstep, run_ensemble, state_log_odds
+from .walk import (_MAX_SLICE_LANES, Outcome, PointerModel, WalkBoundaries, _lockstep,
+                   run_ensemble, state_log_odds)
 
 
 # fewest trials a sign-test success curve, and an average's CDF, is estimated from
@@ -114,9 +116,12 @@ def average_cdf(
         raise ValueError(f"trials must be >= {MIN_CDF_TRIALS}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    streams = LaneStreams(master_seed, (), np.arange(trials))
-    L0 = np.full(trials, state_log_odds(truth_state))
-    return empirical_cdf(_reading_means(L0, pm, [m], streams)[m])
+    means = np.empty(trials)  # first, so that a count too large to hold fails at once
+    for lo in range(0, trials, _MAX_SLICE_LANES):
+        lanes = np.arange(lo, min(lo + _MAX_SLICE_LANES, trials))
+        L0 = np.full(lanes.size, state_log_odds(truth_state))
+        means[lanes] = _reading_means(L0, pm, [m], LaneStreams(master_seed, (), lanes))[m]
+    return empirical_cdf(means)
 
 
 def collapse_success_curve(

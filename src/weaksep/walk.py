@@ -28,11 +28,11 @@ Engine
 ------
 The step is written once, in the private lockstep kernel `_lockstep`, and
 every walk runs on it: `run_ensemble`, the sign tests of `discriminate` and
-the trajectory dump of `experiments`. Lane i walks on lane i of a
-`stats.LaneStreams`, the stream ``SeedSequence(master_seed,
-spawn_key=(*seed_path, i))`` as uint64 words, so a trial is a pure function
-of (master_seed, seed_path, index); the tests hold it to a scalar walk on a
-Generator of that stream, bit for bit.
+the trajectory dump of `experiments`; it keeps one index of walking lanes.
+Lane i walks on lane i of a `stats.LaneStreams`, the stream
+``SeedSequence(master_seed, spawn_key=(*seed_path, i))`` as uint64 words, so
+a trial is a pure function of (master_seed, seed_path, index); the tests
+hold it to a scalar walk on a Generator of that stream, bit for bit.
 
 `run_ensemble` walks its lanes in equal contiguous slices of at most
 `_MAX_SLICE_LANES`, which bounds the kernel's memory, on one forked worker
@@ -186,23 +186,20 @@ def _lockstep(L, pm: PointerModel, wb: WalkBoundaries | None, max_steps: int,
     lane takes exactly max_steps readings. L is updated in place. After each
     step t this yields (t, lanes, x, crossed): the lanes that took the step
     (an index array into L, or slice(None) for all of them), their readings,
-    and the indices of the lanes that crossed a boundary on it.
+    and the indices of the lanes that crossed a boundary on it. The walking
+    lanes are `lanes`, with `rows` their rows in the current block; a crossing
+    drops its lanes from both. A walk of zero lanes takes no step.
     """
     sig2 = pm.sigma * pm.sigma
     if wb is not None:
-        l_zero = wb.log_odds_zero
-        l_one = wb.log_odds_one
-    no_lanes = np.empty(0, dtype=np.intp)
-    active = np.arange(L.size)
+        l_zero, l_one = wb.log_odds_zero, wb.log_odds_one
+    crossed = np.empty(0, dtype=np.intp)
+    lanes = slice(None) if wb is None else np.arange(L.size)  # slices when none can stop
     t = 0
-    while active.size and t < max_steps:
+    while L.size and t < max_steps:
         k = min(_BLOCK_STEPS, max_steps - t)
-        block = streams.random(active, 2 * k)
-        # rows of the block still walking and their lanes; slices when none can stop
-        alive = np.ones(active.size, dtype=bool)
-        rows = lanes = slice(None)
-        if wb is not None:
-            rows, lanes = np.arange(active.size), active
+        block = streams.random(lanes, 2 * k)
+        rows = slice(None) if wb is None else np.arange(lanes.size)
         for i in range(k):
             t += 1
             L_lanes = L[lanes]
@@ -210,18 +207,14 @@ def _lockstep(L, pm: PointerModel, wb: WalkBoundaries | None, max_steps: int,
                                        block[rows, 2 * i + 1], pm.g, pm.sigma)
             L_lanes = _advanced_log_odds(L_lanes, x, pm.g, sig2)
             L[lanes] = L_lanes
-            crossed = no_lanes
             if wb is not None:
                 done = (L_lanes >= l_zero) | (L_lanes <= l_one)
                 crossed = lanes[done]
             yield t, lanes, x, crossed
             if crossed.size:
-                alive[rows[done]] = False
-                if not alive.any():
-                    break
-                rows = np.nonzero(alive)[0]
-                lanes = active[rows]
-        active = active[alive]
+                rows, lanes = rows[~done], lanes[~done]
+                if not lanes.size:
+                    return
 
 
 _MIN_WORKER_LANES = 1024  # a worker's fewest lanes; a pool takes about 4 ms to start and end

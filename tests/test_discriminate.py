@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.stats import norm
 
 from oracles import (candidate_of, compose_error, derive_generator, error_decomposition,
                      hypothesis_trial, iterative_trial, run_walk)
+from weaksep import discriminate
 from weaksep.discriminate import (
     Candidate,
     average_cdf,
@@ -281,6 +283,30 @@ class TestAverageCdf:
         psi1, _ = make_discrimination_pair(50.0)
         with pytest.raises(ValueError):
             average_cdf(psi1, 5, PointerModel(3.0), 500, 118)
+
+    def test_slices_walk_the_same_trials(self, monkeypatch):
+        # a trial's readings depend only on (seed, index), so slicing changes no bit
+        psi1, _ = make_discrimination_pair(50.0)
+        whole = average_cdf(psi1, 7, PointerModel(3.0), 1000, 123)
+        monkeypatch.setattr(discriminate, "_MAX_SLICE_LANES", 300)
+        sliced = average_cdf(psi1, 7, PointerModel(3.0), 1000, 123)
+        assert np.array_equal(sliced.values, whole.values)
+        assert np.array_equal(sliced.levels, whole.levels)
+
+    def test_memory_is_one_slice_and_the_averages(self):
+        # Walked all at once, this CDF peaks at about 83 MB of numpy memory; in slices
+        # of _MAX_SLICE_LANES it peaks at about 10 MB: one slice's walk, and the
+        # averages, sorted values and levels of every trial.
+        _, psi2 = make_discrimination_pair(50.0)
+        trials = 200_000
+        tracemalloc.start()
+        try:
+            cdf = average_cdf(psi2, 20, PointerModel(3.0), trials, 124)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cdf.values.size == trials
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_ensembles_build_no_generator(monkeypatch, tmp_path):

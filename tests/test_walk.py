@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from oracles import (bias_update, born_probabilities, derive_generator, posterior_weight,
                      run_walk, strong_measure)
 from weaksep.qubit import QubitState, state_from_angle
+from weaksep.stats import LaneStreams
 from weaksep.walk import (
     Outcome,
     PointerModel,
     WalkBoundaries,
+    _lockstep,
     _reading_from_uniforms,
     default_max_steps,
     run_ensemble,
@@ -265,6 +267,13 @@ class TestRunWalk:
     def test_default_max_steps_scale(self):
         assert default_max_steps(PointerModel(5.0)) == 5000
         assert default_max_steps(PointerModel(0.01)) == 1
+
+
+@pytest.mark.parametrize("wb", [WalkBoundaries(10.0, 80.0), None])
+def test_lockstep_over_no_lanes_takes_no_step(wb):
+    streams = LaneStreams(1, (), np.arange(0))
+    # next, not list: a walk that did step would yield 10**9 empty steps
+    assert next(_lockstep(np.empty(0), PointerModel(3.0), wb, 10**9, streams), None) is None
 
 
 class TestRunEnsemble:
