@@ -1,21 +1,18 @@
-"""Decision protocols for telling the two candidate states apart, as ensembles.
+"""Few-shot hypothesis testing of the two candidate states, as ensembles.
 
-* iterative collapse: walk the state to an effective-collapse boundary, then
-  measure strongly and guess PSI1 (the candidate leaning toward |1>) on ONE.
-  `collapse_success_curve` estimates the weak-process part: the fraction of
-  PSI1 walks that collapse toward |1>;
-* few-shot hypothesis testing: perform exactly m weak measurements with no
-  collapse boundary, average the readings and decide by the sign of the
-  average (negative means PSI1, since the |1> branch displaces the needle
-  by -g). Ties at exactly 0 are broken by one extra fair coin from the
-  trial's stream.
+Each trial performs exactly m weak measurements with no collapse boundary,
+averages the readings and decides by the sign of the average (negative
+means PSI1, since the |1> branch displaces the needle by -g). Ties at
+exactly 0 are broken by one extra fair coin from the trial's stream. The
+other protocol, iterative collapse, walks `walk.run_ensemble` to a boundary;
+fig4 counts those walks itself and reports them through `success_curve`.
 
 Curve ensembles draw the truth for each trial from the trial's own stream
 (one uniform before the readings) and reuse each trial's reading prefix
 across the m values, so success estimates for different m are coupled by
 common random numbers. The sign-test curves and `average_cdf` take their
-m-reading averages from one walk, `_reading_means`; `average_cdf` walks its
-trials 2^14 (`walk._MAX_SLICE_LANES`) at a time, so it holds one slice's walk.
+m-reading averages from one walk, `_reading_means`, of 2^14
+(`walk._MAX_SLICE_LANES`) trials at a time, so they hold one slice's walk.
 """
 
 from __future__ import annotations
@@ -27,8 +24,7 @@ import numpy as np
 
 from .qubit import QubitState, helstrom_bound, make_discrimination_pair
 from .stats import binomial_stderr, empirical_cdf, EmpiricalCdf, LaneStreams
-from .walk import (_MAX_SLICE_LANES, Outcome, PointerModel, WalkBoundaries, _lockstep,
-                   run_ensemble, state_log_odds)
+from .walk import _MAX_SLICE_LANES, PointerModel, _lockstep, state_log_odds
 
 
 # fewest trials a sign-test success curve, and an average's CDF, is estimated from
@@ -64,7 +60,7 @@ def _reading_means(L0, pm: PointerModel, m_values: list[int],
     return means
 
 
-def _success_curve(thetas: np.ndarray, wins: list[int], trials: int) -> SuccessCurve:
+def success_curve(thetas: np.ndarray, wins: list[int], trials: int) -> SuccessCurve:
     """The curve of `wins[k]` successes in `trials` at each thetas[k]."""
     return SuccessCurve(thetas.copy(), np.array(wins) / trials,
                         np.array([binomial_stderr(w, trials) for w in wins]),
@@ -82,7 +78,8 @@ def hypothesis_success_curves(
 
     Trial streams are derived from (master_seed, theta_index, trial). The
     first uniform of a trial picks the truth (PSI1 when u < 0.5); the same
-    reading prefix then serves every m.
+    reading prefix then serves every m, and a tie's coins follow in
+    ascending m. Each theta walks its trials 2^14 at a time.
     """
     if trials < MIN_CURVE_TRIALS:
         raise ValueError(f"trials must be >= {MIN_CURVE_TRIALS}")
@@ -90,18 +87,23 @@ def hypothesis_success_curves(
     if min(m_values, default=0) < 1:
         raise ValueError("every m must be >= 1")
     thetas = np.asarray(theta_grid, dtype=float)
+    right = np.empty((len(m_values), trials), dtype=bool)  # first: a huge count fails at once
     wins = {m: [] for m in m_values}
     for k, theta in enumerate(thetas):
         psi1, psi2 = make_discrimination_pair(theta)
-        streams = LaneStreams(master_seed, (k,), np.arange(trials))
-        truth_is_1 = streams.random(slice(None), 1)[:, 0] < 0.5
-        L0 = np.where(truth_is_1, state_log_odds(psi1), state_log_odds(psi2))
-        for m, mr in _reading_means(L0, pm, m_values, streams).items():
-            guess_is_1 = mr < 0.0
-            tied = np.nonzero(mr == 0.0)[0]  # a tie's coin: its stream's next uniform
-            guess_is_1[tied] = streams.random(tied, 1)[:, 0] < 0.5
-            wins[m].append(int(np.sum(guess_is_1 == truth_is_1)))
-    return {m: _success_curve(thetas, wins[m], trials) for m in m_values}
+        for lo in range(0, trials, _MAX_SLICE_LANES):
+            lanes = np.arange(lo, min(lo + _MAX_SLICE_LANES, trials))
+            streams = LaneStreams(master_seed, (k,), lanes)
+            truth_is_1 = streams.random(slice(None), 1)[:, 0] < 0.5
+            L0 = np.where(truth_is_1, state_log_odds(psi1), state_log_odds(psi2))
+            for row, mr in zip(right, _reading_means(L0, pm, m_values, streams).values()):
+                guess_is_1 = mr < 0.0
+                tied = np.nonzero(mr == 0.0)[0]  # a tie's coin: its stream's next uniform
+                guess_is_1[tied] = streams.random(tied, 1)[:, 0] < 0.5
+                row[lanes] = guess_is_1 == truth_is_1
+        for m, row in zip(m_values, right):
+            wins[m].append(int(np.count_nonzero(row)))
+    return {m: success_curve(thetas, wins[m], trials) for m in m_values}
 
 
 def average_cdf(
@@ -123,25 +125,3 @@ def average_cdf(
         means[lanes] = _reading_means(L0, pm, [m], LaneStreams(master_seed, (), lanes))[m]
     return empirical_cdf(means)
 
-
-def collapse_success_curve(
-    theta_grid,
-    wb: WalkBoundaries,
-    pm: PointerModel,
-    trials: int,
-    master_seed: int,
-    max_steps: int | None = None,
-) -> SuccessCurve:
-    """Fraction of PSI1 walks that collapse toward |1>, per theta.
-
-    This is the weak-process success alone (no strong measurement); walks
-    that exhaust the step budget count as failures.
-    """
-    thetas = np.asarray(theta_grid, dtype=float)
-    wins = []
-    for k, theta in enumerate(thetas):
-        psi1, _ = make_discrimination_pair(theta)
-        ens = run_ensemble(psi1, pm, wb, trials, master_seed,
-                           max_steps=max_steps, seed_path=(k,))
-        wins.append(int(np.sum(ens.labels == Outcome.ONE)))
-    return _success_curve(thetas, wins, trials)

@@ -21,14 +21,14 @@ import numpy as np
 
 from . import __version__
 from .discriminate import (MIN_CDF_TRIALS, MIN_CURVE_TRIALS, Candidate, average_cdf,
-                           collapse_success_curve, hypothesis_success_curves)
+                           hypothesis_success_curves, success_curve)
 from .qubit import helstrom_bound, make_discrimination_pair, state_from_angle
 from .stats import (MIN_FIT_SAMPLES, PRNG_ALGORITHM, LaneStreams, fit_lognormal,
                     quadratic_scaling_fit)
 from .tsvf import (QuadratureError, TsvfSetup, analytic_moments, optimal_eta,
                    quadrature_moments, separation_report)
-from .walk import (Outcome, PointerModel, WalkBoundaries, _back_action, _lockstep, run_ensemble,
-                   state_log_odds)
+from .walk import (_MAX_SLICE_LANES, Outcome, PointerModel, WalkBoundaries, _back_action,
+                   _lockstep, run_ensemble, state_log_odds)
 
 DEFAULT_MASTER_SEED = 20260811
 
@@ -94,7 +94,7 @@ def _write_csv(path: Path, header: list[str], blocks, files: list[Path]) -> None
                 fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
-_DUMP_READINGS = 1 << 20  # most readings (and lanes) the trajectory dump holds at once
+_DUMP_READINGS = 1 << 20  # most readings the trajectory dump holds at once
 _TRAJECTORY_HEADER = ["trial", "step", "reading", "alpha", "beta"]
 
 
@@ -104,21 +104,22 @@ def _trajectory_rows(s0, pm: PointerModel, wb: WalkBoundaries, steps, master_see
     steps: the kernel's readings on the ensemble's own streams, and
     `_back_action` iterated over them from s0.
 
-    Trials go in chunks whose readings fit one buffer of _DUMP_READINGS. A
-    trial longer than that is a chunk of its own, and walks in segments of
-    at most _DUMP_READINGS steps, each resuming on the same log-odds and
-    streams. A lane's draws depend only on (master_seed, seed_path, index),
-    and a lane that has not stopped has used every uniform it drew, so the
-    chunks and segments leave them unchanged. No block holds more than
-    _CSV_ROWS rows.
+    Trials go in chunks of at most _MAX_SLICE_LANES trials whose readings fit
+    one buffer of _DUMP_READINGS. A trial longer than that is a chunk of its
+    own, and walks in segments of at most _DUMP_READINGS steps, each resuming
+    on the same log-odds and streams. A lane's draws depend only on
+    (master_seed, seed_path, index), and a lane that has not stopped has used
+    every uniform it drew, so the chunks and segments leave them unchanged.
+    No block holds more than _CSV_ROWS rows.
     """
     held = np.cumsum(steps + 1)  # readings plus lanes of trials 0..i
     g, sigma = pm.g, pm.sigma
     lo = 0
     while lo < steps.size:
-        # the trials from lo on that fit the buffer, and at least one
+        # the trials from lo on that fit the buffer and one slice, and at least one
         limit = held[lo] - steps[lo] - 1 + _DUMP_READINGS
-        hi = max(lo + 1, int(np.searchsorted(held, limit, side="right")))
+        hi = min(lo + _MAX_SLICE_LANES,
+                 max(lo + 1, int(np.searchsorted(held, limit, side="right"))))
         n = steps[lo:hi]
         end = np.cumsum(n)  # one past each trial's last row in the chunk
         start = end - n
@@ -211,10 +212,17 @@ def _write_success_curve(path: Path, curve, files: list[Path]) -> None:
 
 
 def _run_fig4(params, master_seed, outdir, files) -> dict:
-    curve = collapse_success_curve(
-        params["theta_grid"], WalkBoundaries(*params["boundaries"]),
-        PointerModel(params["sigma"]), params["trials"], master_seed,
-        params["max_steps"])
+    # the weak-process part of iterative collapse, with no strong measurement: the
+    # fraction of PSI1 walks that collapse toward |1>; a maxed-out walk fails
+    pm, wb = PointerModel(params["sigma"]), WalkBoundaries(*params["boundaries"])
+    trials = params["trials"]
+    thetas = np.asarray(params["theta_grid"], dtype=float)
+    wins = []
+    for k, theta in enumerate(thetas):
+        psi1, _ = make_discrimination_pair(theta)
+        ens = run_ensemble(psi1, pm, wb, trials, master_seed, params["max_steps"], (k,))
+        wins.append(int(np.count_nonzero(ens.labels == Outcome.ONE)))
+    curve = success_curve(thetas, wins, trials)
     _write_success_curve(outdir / "fig4_success.csv", curve, files)
     return {"worst_margin_vs_helstrom": float(np.min(curve.success - curve.helstrom))}
 
@@ -327,6 +335,12 @@ EXPERIMENTS = {
 _NONE_DEFAULT_KINDS = {"max_steps": 1, "eta1": 1.0}
 # fewest trials a run can summarize, where that is more than one
 _TRIAL_FLOORS = {"fig2": MIN_FIT_SAMPLES, "fig5": MIN_CURVE_TRIALS, "fig6": MIN_CDF_TRIALS}
+# most weak measurements a run without boundaries may take (fig6 at 10^5 trials and
+# m = 20 takes 2e6), and its exact count of them (fig6 walks each distinct m on its
+# own); a boundary walk's length is not known before it ends
+_MAX_READINGS = 10**10
+_READINGS = {"fig5": lambda p: p["trials"] * len(p["theta_grid"]) * max(p["m_values"]),
+             "fig6": lambda p: p["trials"] * sum(set(p["m_values"]))}
 
 
 def default_parameters(experiment: str) -> dict:
@@ -411,6 +425,8 @@ def validate(spec: ExperimentSpec) -> list[str]:
     floor = _TRIAL_FLOORS.get(spec.experiment, 1)
     if params.get("trials", floor) < floor:
         errors.append(f"{spec.experiment} needs trials >= {floor}, got {params['trials']}")
+    if _READINGS.get(spec.experiment, lambda p: 0)(params) > _MAX_READINGS:
+        errors.append(f"{spec.experiment} would take more than {_MAX_READINGS} weak measurements")
     with np.errstate(all="ignore"):  # only the rules' exceptions count here
         for label, build in _domain_objects(spec.experiment, params):
             try:

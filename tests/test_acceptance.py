@@ -24,10 +24,10 @@ from scipy.stats import kstest
 from oracles import (bias_update, born_probabilities, derive_generator, needle_density_array,
                      posterior_weight, rejection_sample_batch)
 from weaksep.discriminate import (
-    collapse_success_curve,
     average_cdf,
     hypothesis_success_curves,
 )
+from weaksep.experiments import ExperimentSpec, run
 from weaksep.qubit import (
     helstrom_bound,
     make_discrimination_pair,
@@ -140,25 +140,26 @@ def test_c05_fig3_quadratic_scaling():
             f"medians={medians}, c={coeff:.3f}, r2={r2:.5f}>0.98")
 
 
-def test_c06_fig4_success_vs_helstrom():
+def test_c06_fig4_success_vs_helstrom(tmp_path):
     thetas = [30.0, 40.0, 50.0, 60.0, 70.0, 80.0]
-    pm = PointerModel(5.0)
     pairs = [(10.0, 80.0), (5.0, 85.0), (1.0, 89.0)]
     curves = []
     for j, (a0, a1) in enumerate(pairs):
-        curves.append(collapse_success_curve(
-            thetas, WalkBoundaries(a0, a1), pm, 1000, MASTER_SEED + j))
+        params = {"theta_grid": thetas, "boundaries": [a0, a1], "sigma": 5.0, "trials": 1000}
+        run(ExperimentSpec("fig4", params, MASTER_SEED + j, str(tmp_path / str(j))))
+        curves.append(np.genfromtxt(tmp_path / str(j) / "fig4_success.csv", delimiter=",",
+                                    names=True))
     tight = curves[-1]
     ok = True
     details = []
     for k, theta in enumerate(thetas):
-        margin = tight.success[k] - (tight.helstrom[k] - 2 * tight.stderr[k])
+        margin = tight["success"][k] - (tight["helstrom"][k] - 2 * tight["stderr"][k])
         ok = ok and margin >= 0
-        gaps = [c.success[k] - c.helstrom[k] for c in curves]
+        gaps = [c["success"][k] - c["helstrom"][k] for c in curves]
         for j in range(len(pairs) - 1):
-            slack = 3 * math.hypot(curves[j].stderr[k], curves[j + 1].stderr[k])
+            slack = 3 * math.hypot(curves[j]["stderr"][k], curves[j + 1]["stderr"][k])
             ok = ok and gaps[j + 1] <= gaps[j] + slack
-        details.append(f"t={theta:g}: s={tight.success[k]:.3f} "
+        details.append(f"t={theta:g}: s={tight['success'][k]:.3f} "
                        f"gaps={['%.3f' % g for g in gaps]}")
     _finish("06 fig4-above-helstrom", ok, "; ".join(details))
 

@@ -12,7 +12,6 @@ from weaksep import discriminate
 from weaksep.discriminate import (
     Candidate,
     average_cdf,
-    collapse_success_curve,
     hypothesis_success_curves,
 )
 from weaksep.experiments import ExperimentSpec, run
@@ -252,6 +251,38 @@ class TestHypothesisCurves:
         with pytest.raises(ValueError):
             hypothesis_success_curves([50.0], [5], PointerModel(3.0), 50, 115)
 
+    # g = 0 and the least subnormal sigma make many tied means, so the slices'
+    # tie coins are drawn too
+    @pytest.mark.parametrize("pm", [PointerModel(3.0), PointerModel(5e-324, g=0.0)])
+    def test_slices_walk_the_same_trials(self, monkeypatch, pm):
+        # a trial's draws depend only on (seed, theta index, trial), so slicing changes no bit
+        grid, m_values = [30.0, 50.0, 90.0], [1, 3, 7]
+        with np.errstate(invalid="ignore"):  # the log-odds step is 0/0 when g = 0
+            whole = hypothesis_success_curves(grid, m_values, pm, 1000, 125)
+            lanes = []
+            monkeypatch.setattr(discriminate, "_MAX_SLICE_LANES", 300)
+            monkeypatch.setattr(discriminate, "LaneStreams", lambda seed, path, indices: (
+                lanes.append(len(indices)) or LaneStreams(seed, path, indices)))
+            sliced = hypothesis_success_curves(grid, m_values, pm, 1000, 125)
+        assert lanes == [300, 300, 300, 100] * len(grid)
+        for m in m_values:
+            assert np.array_equal(sliced[m].success, whole[m].success)
+
+    def test_memory_is_one_slice_and_the_wins(self):
+        # Walked all at once, these curves peak at about 85 MB of numpy memory; in
+        # slices of _MAX_SLICE_LANES they peak at about 8 MB: one slice's walk, and
+        # one bool per trial and m.
+        trials = 200_000
+        tracemalloc.start()
+        try:
+            curves = hypothesis_success_curves([50.0], [5, 10, 20], PointerModel(3.0),
+                                               trials, 126)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(0.5 < curve.success[0] < 1.0 for curve in curves.values())
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
 
 class TestAverageCdf:
     def test_eigenstate_average_is_plain_gaussian(self):
@@ -344,12 +375,14 @@ def test_ensembles_build_no_generator(monkeypatch, tmp_path):
 
 
 class TestCollapseSuccessCurve:
-    def test_tracks_helstrom_from_above_at_wide_boundaries(self):
+    def test_tracks_helstrom_from_above_at_wide_boundaries(self, tmp_path):
         # ample boundary margin gives success clearly above the projective
         # optimum; mid-theta where the excess is resolvable
-        curve = collapse_success_curve([50.0], WalkBoundaries(10.0, 80.0),
-                                       PointerModel(5.0), 10000, 119)
-        assert curve.success[0] - helstrom_bound(50.0) > 3 * curve.stderr[0]
+        params = {"theta_grid": [50.0], "boundaries": [10.0, 80.0], "sigma": 5.0,
+                  "trials": 10000}
+        run(ExperimentSpec("fig4", params, 119, str(tmp_path)))
+        curve = np.genfromtxt(tmp_path / "fig4_success.csv", delimiter=",", names=True)
+        assert curve["success"] - helstrom_bound(50.0) > 3 * curve["stderr"]
 
     def test_mirror_symmetry_statistical(self):
         # walking psi2 to ZERO succeeds as often as walking psi1 to ONE

@@ -266,6 +266,26 @@ class TestTrajectoryDump:
             assert (tmp_path / name).read_bytes() == want, name
 
 
+    def test_chunks_walk_at_most_one_slice(self, tmp_path, monkeypatch):
+        # walks of about 2 steps at sigma 1: thousands of trials fit one buffer
+        params = {"sigma": 1.0, "trials": 3000, "dump_trajectories": True}
+        run(ExperimentSpec("fig2", params, 7, str(tmp_path / "whole")))
+        sizes = []
+        lockstep = exp._lockstep
+
+        def recording(L, *args):
+            sizes.append(L.size)
+            return lockstep(L, *args)
+
+        monkeypatch.setattr(exp, "_MAX_SLICE_LANES", 200)
+        monkeypatch.setattr(exp, "_lockstep", recording)
+        run(ExperimentSpec("fig2", params, 7, str(tmp_path / "sliced")))
+        assert sizes and max(sizes) <= 200
+        assert sum(sizes) == params["trials"]
+        sliced, whole = (tmp_path / d / "fig2_trajectories.csv" for d in ("sliced", "whole"))
+        assert sliced.read_bytes() == whole.read_bytes()
+
+
 class TestFig4:
     def test_schema(self, tmp_path):
         params = {"theta_grid": [40.0, 60.0], "trials": 200}
@@ -551,7 +571,7 @@ class TestCli:
         ("fig3", {"trials": 30, "sigma_grid": [5.0], "dump_trajectories": True}),
         ("fig4", {"trials": 1, "max_steps": 0}),
         ("fig5", {"trials": 100, "m_values": [0]}),
-        ("fig6", {"trials": 10**15}),  # 7 PiB of lane indices: the allocation fails at once
+        ("fig6", {"trials": 10**15}),  # past the reading ceiling
         ("fig3", {"trials": 40, "sigma_grid": [2.0, 2.0000001, 3.0, 4.0],
                   "dump_trajectories": True}),  # two dumps named ..._sigma2.csv
         ("fig2", {"trials": 10**15}),  # 16 PB of walk outputs, allocated before any slice
@@ -566,6 +586,25 @@ class TestCli:
         assert err["error"] == "invalid experiment spec"
         assert not [p for p in tmp_path.rglob("*") if p.suffix == ".csv"]
         assert not list(tmp_path.rglob("summary.json"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment, parameters", [
+        ("fig5", {"m_values": [10**8]}),  # 5000 trials at 9 thetas: 4.5e12 readings
+        ("fig5", {"m_values": [10**400]}),
+        ("fig6", {"trials": 10**9}),  # 3.5e10 readings, and about 8 GB if it ran
+    ])
+    def test_reading_ceiling_gives_json_error_and_exit_2(self, tmp_path, capsys, experiment,
+                                                         parameters):
+        # validate() first: a spec past it would walk for hours or fill the memory
+        errors = validate(ExperimentSpec(experiment, parameters))
+        assert errors == [f"{experiment} would take more than {exp._MAX_READINGS} "
+                          f"weak measurements"]
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "parameters": parameters,
+                                   "output_dir": str(tmp_path / "out")}))
+        assert main(["--config", str(cfg)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid experiment spec"
+        assert not list(tmp_path.rglob("*.csv"))
         assert not (tmp_path / "out").exists()
 
     def test_failing_run_removes_only_the_directories_it_created(self, tmp_path, capsys):
