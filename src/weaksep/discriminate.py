@@ -12,7 +12,8 @@ Curve ensembles draw the truth for each trial from the trial's own stream
 across the m values, so success estimates for different m are coupled by
 common random numbers. The sign-test curves and `average_cdf` take their
 m-reading averages from one walk, `_reading_means`, of 2^14
-(`walk._MAX_SLICE_LANES`) trials at a time, so they hold one slice's walk.
+(`walk._MAX_SLICE_LANES`) trials at a time, so they hold one slice's walk;
+the curves keep win counts per (m, theta), not a result per trial.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ def hypothesis_success_curves(
     Trial streams are derived from (master_seed, theta_index, trial). The
     first uniform of a trial picks the truth (PSI1 when u < 0.5); the same
     reading prefix then serves every m, and a tie's coins follow in
-    ascending m. Each theta walks its trials 2^14 at a time.
+    ascending m. Each theta walks its trials 2^14 at a time, and each slice
+    adds its wins to the counts; no result per trial is kept.
     """
     if trials < MIN_CURVE_TRIALS:
         raise ValueError(f"trials must be >= {MIN_CURVE_TRIALS}")
@@ -87,8 +89,7 @@ def hypothesis_success_curves(
     if min(m_values, default=0) < 1:
         raise ValueError("every m must be >= 1")
     thetas = np.asarray(theta_grid, dtype=float)
-    right = np.empty((len(m_values), trials), dtype=bool)  # first: a huge count fails at once
-    wins = {m: [] for m in m_values}
+    wins = np.zeros((len(m_values), thetas.size), dtype=np.int64)
     for k, theta in enumerate(thetas):
         psi1, psi2 = make_discrimination_pair(theta)
         for lo in range(0, trials, _MAX_SLICE_LANES):
@@ -96,14 +97,12 @@ def hypothesis_success_curves(
             streams = LaneStreams(master_seed, (k,), lanes)
             truth_is_1 = streams.random(slice(None), 1)[:, 0] < 0.5
             L0 = np.where(truth_is_1, state_log_odds(psi1), state_log_odds(psi2))
-            for row, mr in zip(right, _reading_means(L0, pm, m_values, streams).values()):
+            for j, mr in enumerate(_reading_means(L0, pm, m_values, streams).values()):
                 guess_is_1 = mr < 0.0
                 tied = np.nonzero(mr == 0.0)[0]  # a tie's coin: its stream's next uniform
                 guess_is_1[tied] = streams.random(tied, 1)[:, 0] < 0.5
-                row[lanes] = guess_is_1 == truth_is_1
-        for m, row in zip(m_values, right):
-            wins[m].append(int(np.count_nonzero(row)))
-    return {m: success_curve(thetas, wins[m], trials) for m in m_values}
+                wins[j, k] += np.count_nonzero(guess_is_1 == truth_is_1)
+    return {m: success_curve(thetas, row.tolist(), trials) for m, row in zip(m_values, wins)}
 
 
 def average_cdf(

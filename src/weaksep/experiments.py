@@ -394,7 +394,8 @@ def _domain_objects(experiment: str, p: dict) -> list:
     setups = product(etas, p.get("g_grid", [p.get("g")]), sigmas)
     if p.get("eta1", 0.0) is None:  # tsvf-separation's default: the optimal eta1
         built.append(("eta1", partial(optimal_eta, p["g"], p["sigma"])))
-    return built + [("eta, g, sigma", partial(TsvfSetup, *c)) for c in setups]
+    return built + [("eta, g, sigma", lambda c=c: analytic_moments(TsvfSetup(*c)))
+                    for c in setups]
 
 
 def validate(spec: ExperimentSpec) -> list[str]:

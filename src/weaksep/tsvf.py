@@ -55,8 +55,8 @@ class TsvfSetup:
             )
         if self.g < 0:
             raise ValueError(f"g must be nonnegative, got {self.g}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (self.sigma > 0 and self.sigma * self.sigma > 0):
+            raise ValueError(f"sigma must be positive, with a nonzero square; got {self.sigma}")
 
     @cached_property
     def b(self) -> float:

@@ -223,13 +223,16 @@ _STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
 
 def _walk_slice(L0, pm, wb, max_steps, master_seed, seed_path, start, stop):
-    """The steps and final log-odds of lanes start..stop-1 of an ensemble from L0."""
+    """The int64 steps and int8 labels of lanes start..stop-1 of an ensemble from L0."""
     L = np.full(stop - start, L0)
     streams = LaneStreams(master_seed, seed_path, np.arange(start, stop))
     steps = np.full(stop - start, max_steps, dtype=np.int64)
     for t, _, _, crossed in _lockstep(L, pm, wb, max_steps, streams):
         steps[crossed] = t
-    return steps, L
+    # every lane took at least one step, so its final L tells how it ended
+    labels = np.select([L >= wb.log_odds_zero, L <= wb.log_odds_one],
+                       [int(Outcome.ZERO), int(Outcome.ONE)], int(Outcome.MAXED_OUT))
+    return steps, labels.astype(np.int8)
 
 
 def _start_pool_worker():
@@ -275,7 +278,7 @@ def run_ensemble(
         if multiprocessing.current_process().daemon or threading.active_count() > 1:
             workers = 1  # a daemon may have no children, and fork is unsafe with threads
     # the outputs first, so that a trial count too large to hold fails at once
-    steps, L = np.empty(trials, dtype=np.int64), np.empty(trials)
+    steps, labels = np.empty(trials, dtype=np.int64), np.empty(trials, dtype=np.int8)
     n = workers * -(-trials // (workers * _MAX_SLICE_LANES))  # slices, whole rounds of them
     jobs = [(state_log_odds(s0), pm, wb, max_steps, master_seed, seed_path,
              trials * k // n, trials * (k + 1) // n) for k in range(n)]
@@ -293,9 +296,5 @@ def run_ensemble(
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     for (*_, start, stop), part in zip(jobs, results):
-        steps[start:stop], L[start:stop] = part
-    # every lane took at least one step, so its final L tells how it ended
-    labels = np.select([L >= wb.log_odds_zero, L <= wb.log_odds_one],
-                       [int(Outcome.ZERO), int(Outcome.ONE)],
-                       int(Outcome.MAXED_OUT)).astype(np.int8)
+        steps[start:stop], labels[start:stop] = part
     return WalkEnsemble(steps, labels)

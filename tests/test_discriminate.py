@@ -271,7 +271,7 @@ class TestHypothesisCurves:
     def test_memory_is_one_slice_and_the_wins(self):
         # Walked all at once, these curves peak at about 85 MB of numpy memory; in
         # slices of _MAX_SLICE_LANES they peak at about 8 MB: one slice's walk, and
-        # one bool per trial and m.
+        # the win counts.
         trials = 200_000
         tracemalloc.start()
         try:
@@ -282,6 +282,20 @@ class TestHypothesisCurves:
             tracemalloc.stop()
         assert all(0.5 < curve.success[0] < 1.0 for curve in curves.values())
         assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_memory_does_not_grow_with_trials(self):
+        # each slice adds its wins to counts per (m, theta); keeping a bool per trial
+        # and m instead grows the peak by 8 bytes per trial here, 1.6 MB between the two
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                hypothesis_success_curves([50.0], range(1, 9), PointerModel(3.0), trials, 127)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = (peak(k * discriminate._MAX_SLICE_LANES) for k in (4, 16))
+        assert large - small < 1e6, f"{small / 1e6:.2f} MB, then {large / 1e6:.2f} MB"
 
 
 class TestAverageCdf:

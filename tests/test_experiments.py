@@ -104,6 +104,13 @@ class TestValidate:
         ("helstrom-table", {"theta_grid": [0.0, 30.0]}, True),  # the bound is 1/2 at 0
         ("fig3", {"trials": 10, "sigma_grid": [2.0, 3.0, 4.0, 5.0]}, True),  # fits no log-normal
         ("fig2", {"start_angle_deg": 5.0, "trials": 40}, False),  # 0-step walks: nothing to fit
+        # closed forms that overflow, and a sigma whose square underflows to 0
+        ("tsvf-report", {"g_grid": [20.0]}, False),
+        ("tsvf-report", {"g_grid": [50.0]}, False),
+        ("tsvf-report", {"sigma_grid": [1e300]}, False),
+        ("tsvf-separation", {"g": 50.0, "eta1": 1.0}, False),
+        ("tsvf-report", {"sigma_grid": [1e-300]}, False),
+        ("tsvf-separation", {"sigma": 1e-300, "eta1": 1.0}, False),
     ])
     def test_verdict_is_the_runs(self, tmp_path, capsys, experiment, parameters, runs):
         out = tmp_path / "out"
@@ -575,6 +582,12 @@ class TestCli:
         ("fig3", {"trials": 40, "sigma_grid": [2.0, 2.0000001, 3.0, 4.0],
                   "dump_trajectories": True}),  # two dumps named ..._sigma2.csv
         ("fig2", {"trials": 10**15}),  # 16 PB of walk outputs, allocated before any slice
+        # closed forms that overflow, and a sigma whose square underflows to 0
+        ("tsvf-report", {"g_grid": [20.0]}),
+        ("tsvf-report", {"sigma_grid": [1e300]}),
+        ("tsvf-report", {"sigma_grid": [1e-300]}),
+        ("tsvf-separation", {"g": 50.0, "eta1": 1.0}),
+        ("tsvf-separation", {"sigma": 1e-300, "eta1": 1.0}),
     ])
     def test_failing_runs_give_json_error_and_exit_2(self, tmp_path, capsys, experiment,
                                                      parameters):

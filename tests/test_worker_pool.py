@@ -140,8 +140,8 @@ def test_daemonic_process_walks_serially(parallel):
 
 def test_serial_memory_is_one_slice_and_the_outputs(monkeypatch):
     # Unsliced, this walk peaks at about 52 MB of numpy memory (0.25 KB per lane at
-    # 8 steps); in slices of _MAX_SLICE_LANES it peaks at about 7.8 MB: one slice,
-    # and the 16 bytes per trial of steps and final log-odds that each slice fills.
+    # 8 steps); in slices of _MAX_SLICE_LANES it peaks at about 6.3 MB: one slice,
+    # and the 9 bytes per trial of steps and labels that each slice fills.
     set_cpus(monkeypatch, 1)
     trials = 200_000
     tracemalloc.start()
@@ -153,3 +153,22 @@ def test_serial_memory_is_one_slice_and_the_outputs(monkeypatch):
         tracemalloc.stop()
     assert ens.steps.size == trials
     assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_serial_memory_grows_by_the_steps_and_labels(monkeypatch):
+    # per trial, the walk keeps 8 bytes of steps and 1 of labels; keeping each
+    # lane's final log-odds as well costs 16 bytes or more
+    set_cpus(monkeypatch, 1)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            run_ensemble(state_from_angle(45.0), PointerModel(20.0), WB, trials, 6,
+                         max_steps=8)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = (k * walk._MAX_SLICE_LANES for k in (2, 10))
+    grown = (peak(large) - peak(small)) / (large - small)
+    assert grown < 12, f"{grown:.1f} bytes per trial"
