@@ -19,8 +19,9 @@ Closed-form conditional moments (E = exp(-2 (g sigma)^2)), all computed in
     <X>   = sin(eta) 2 g sigma^2 / (exp(2 (g sigma)^2) - cos(eta))
     <X^2> = sigma^2 (1 - cos(eta) E (1 - 4 g^2 sigma^2)) / (1 - cos(eta) E)
 
-Each is paired with an adaptive-quadrature oracle: QUADPACK evaluates
-`needle_density` at one float x at a time. The density over an array, the
+Each is paired with an adaptive-quadrature oracle: the package's port of
+QUADPACK's QAGS (`weaksep.quadpack`) evaluates `needle_density` on arrays of
+Gauss-Kronrod nodes, 42 per bisection. The density one float at a time, the
 weak value and a rejection sampler are the tests' oracles, not the package's.
 """
 
@@ -119,38 +120,36 @@ def analytic_moments(setup: TsvfSetup) -> MomentReport:
     return MomentReport(m1, m2, m2 - m1 * m1, setup.postselect_prob, acceptance)
 
 
-def needle_density(x: float, setup: TsvfSetup):
+def needle_density(x, setup: TsvfSetup):
     """Unnormalized conditional reading density (cos gx + b sin gx)^2 N(x; 0, sigma^2).
 
     Includes the Gaussian normalizer, so the total mass is
-    (1 + b^2)/2 + (1 - b^2)/2 exp(-2 (g sigma)^2). x is one float, as QUADPACK passes it.
+    (1 + b^2)/2 + (1 - b^2)/2 exp(-2 (g sigma)^2). x is a numpy array of nodes.
     """
     sig = setup.sigma
-    # math.cos, math.sin and math.pow(amp, 2.0) equal np.cos, np.sin and np.float_power,
-    # so each value is the array form's entry (tests/oracles.py); math.exp is not
-    # numpy's exp (an ulp off at about 5% of arguments), so the Gaussian keeps np.exp
     gauss = np.exp(-x * x / (2.0 * sig * sig)) / (sig * math.sqrt(2.0 * math.pi))
+    # np.float_power is libm's pow on each entry, as the tests' float oracle's math.pow;
+    # `amp * amp` rounds differently and moves a moment's last bit
     gx = setup.g * x
-    amp = math.cos(gx) + setup.b * math.sin(gx)
-    return math.pow(amp, 2.0) * gauss
+    amp = np.cos(gx) + setup.b * np.sin(gx)
+    return np.float_power(amp, 2.0) * gauss
 
 
-def quad(f, lo, hi, **kw):
-    """scipy.integrate.quad, imported on the first call: only tsvf quadrature needs it."""
-    from scipy.integrate import quad as scipy_quad
+def quad(f, lo, hi, epsabs, epsrel, limit):
+    """weaksep.quadpack.qags, imported on the first call: only tsvf quadrature needs it."""
+    from weaksep.quadpack import qags
 
-    return scipy_quad(f, lo, hi, **kw)
+    return qags(f, lo, hi, epsabs, epsrel, limit)
 
 
 def _quad(f, lo, hi, scale: float):
     """(integral, integrand evaluations, abserr / tolerance) at tolerance QUAD_TOL * scale."""
     tol = QUAD_TOL * scale
-    value, abserr, info, *_ = quad(f, lo, hi, epsabs=tol * 1e-2,
-                                   epsrel=1e-12, limit=500, full_output=1)
+    value, abserr, neval, _ = quad(f, lo, hi, tol * 1e-2, 1e-12, 500)
     if abserr > tol:
         raise QuadratureError(
             f"quadrature achieved absolute error {abserr:.3e}, needed {tol:.3e}")
-    return value, info["neval"], abserr / tol
+    return value, neval, abserr / tol
 
 
 def quadrature_moments(setup: TsvfSetup) -> MomentReport:
@@ -195,7 +194,8 @@ def separation_report(eta1: float, eta2: float, g: float, sigma: float) -> Separ
     lim = QUAD_RANGE_SIGMAS * sigma
     z1 = q1.acceptance_prob / s1.postselect_prob
     z2 = q2.acceptance_prob / s2.postselect_prob
-    overlap, n, r = _quad(lambda x: min(needle_density(x, s1) / z1, needle_density(x, s2) / z2),
+    overlap, n, r = _quad(lambda x: np.minimum(needle_density(x, s1) / z1,
+                                                 needle_density(x, s2) / z2),
                           -lim, lim, 1.0)
     return SeparationReport(a1, a2, a1.mean - a2.mean, 0.5 * overlap,
                             q1.evaluations + q2.evaluations + n,

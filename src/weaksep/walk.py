@@ -64,8 +64,10 @@ class PointerModel:
     g: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        # where g > 0, the log-odds step 2 g x / sigma^2 needs a sigma^2 that is not 0
+        if not (self.sigma > 0 and (self.g == 0 or self.sigma * self.sigma > 0)):
+            raise ValueError(f"sigma must be positive, with a nonzero square where g > 0; "
+                             f"got {self.sigma}")
         if self.g < 0:
             raise ValueError(f"g must be nonnegative, got {self.g}")
 

@@ -6,7 +6,7 @@ a numpy Generator, the form each lane of `LaneStreams` must match bit for
 bit; `run_walk` takes one trial's readings from it, and the decision
 protocols build on it. Also: Born weights, the back-action of one reading
 on a state, weak values, a rejection sampler of post-selected readings, the
-post-selected needle density over an array, and the row-at-a-time CSV
+post-selected needle density at one float, and the row-at-a-time CSV
 writer. The package never imports this.
 """
 
@@ -375,20 +375,20 @@ def rejection_sample_batch(setup: TsvfSetup, n_draws: int, rng: np.random.Genera
     return x[u[1::2] < p_accept]
 
 
-def needle_density_array(x, setup: TsvfSetup):
-    """`tsvf.needle_density` over a numpy array, entry by entry the package's float.
+def needle_density_float(x: float, setup: TsvfSetup):
+    """`tsvf.needle_density` at one float x, as scipy.integrate.quad passes it.
 
     Includes the Gaussian normalizer, so the total mass is
     a_plus + a_minus exp(-2 (g sigma)^2).
     """
     sig = setup.sigma
+    # math.cos, math.sin and math.pow(amp, 2.0) equal np.cos, np.sin and np.float_power,
+    # so each value is the package's array entry; math.exp is not numpy's exp (an ulp
+    # off at about 5% of arguments), so the Gaussian keeps np.exp
     gauss = np.exp(-x * x / (2.0 * sig * sig)) / (sig * math.sqrt(2.0 * math.pi))
-    # np.float_power is libm's pow for a float and for each entry of an array,
-    # so both give the same value and the tsvf CSVs' quadrature columns stay
-    # pow's; `amp ** 2` calls pow on a float but squares an array, and the two
-    # differ in the last bit at about 1 point in 1,500
-    amp = np.cos(setup.g * x) + setup.b * np.sin(setup.g * x)
-    return np.float_power(amp, 2.0) * gauss
+    gx = setup.g * x
+    amp = math.cos(gx) + setup.b * math.sin(gx)
+    return math.pow(amp, 2.0) * gauss
 
 
 # experiments: the row writer that the columnar `_write_csv` replaced

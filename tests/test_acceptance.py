@@ -21,8 +21,8 @@ from scipy.integrate import quad, simpson
 from scipy.optimize import minimize_scalar
 from scipy.stats import kstest
 
-from oracles import (bias_update, born_probabilities, derive_generator, needle_density_array,
-                     posterior_weight, rejection_sample_batch)
+from oracles import (bias_update, born_probabilities, derive_generator, posterior_weight,
+                     rejection_sample_batch)
 from weaksep.discriminate import (
     average_cdf,
     hypothesis_success_curves,
@@ -37,6 +37,7 @@ from weaksep.stats import fit_lognormal, quadratic_scaling_fit
 from weaksep.tsvf import (
     TsvfSetup,
     analytic_moments,
+    needle_density,
     optimal_eta,
     quadrature_moments,
     separation_report,
@@ -265,7 +266,7 @@ def test_c11_sampler_validation():
     se_var = math.sqrt(2.0 / (accepted.size - 1)) * var  # normal approximation
     ok = ok and abs(var - report.variance) < 3 * se_var
     xs = np.linspace(-12 * setup.sigma, 12 * setup.sigma, 20001)
-    pdf = needle_density_array(xs, setup)
+    pdf = needle_density(xs, setup)
     cdf_grid = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1])
                                                 * np.diff(xs))])
     cdf_grid /= cdf_grid[-1]
@@ -299,8 +300,8 @@ def test_c12_separation_honesty():
     xs = np.linspace(-12 * sigma, 12 * sigma, 96001)
     z1, z2 = (orc.acceptance_prob / setup.postselect_prob
               for orc, setup in zip(oracles, setups))
-    grid_bayes = 0.5 * simpson(np.minimum(needle_density_array(xs, setups[0]) / z1,
-                                          needle_density_array(xs, setups[1]) / z2),
+    grid_bayes = 0.5 * simpson(np.minimum(needle_density(xs, setups[0]) / z1,
+                                          needle_density(xs, setups[1]) / z2),
                                x=xs)
     ok = ok and abs(report.bayes_error - grid_bayes) < 1e-6
     _finish("12 separation-honesty", ok,

@@ -111,6 +111,8 @@ class TestValidate:
         ("tsvf-separation", {"g": 50.0, "eta1": 1.0}, False),
         ("tsvf-report", {"sigma_grid": [1e-300]}, False),
         ("tsvf-separation", {"sigma": 1e-300, "eta1": 1.0}, False),
+        ("fig2", {"sigma": 1e-300, "trials": 40}, False),
+        ("fig3", {"sigma_grid": [1e-300, 2e-300, 3e-300, 4e-300]}, False),
     ])
     def test_verdict_is_the_runs(self, tmp_path, capsys, experiment, parameters, runs):
         out = tmp_path / "out"
@@ -398,23 +400,24 @@ class TestTsvfSeparation:
 
 
 class TestScipyImports:
-    def test_only_tsvf_quadrature_loads_scipy_integrate(self, tmp_path):
-        # a fresh interpreter: this one has imported both modules for the tests
+    def test_no_run_loads_scipy_integrate_or_stats(self, tmp_path):
+        # a fresh interpreter: this one has imported both modules for the tests;
+        # tsvf quadrature runs the package's QAGS, not scipy.integrate.quad
+        specs = {name: TINY.get(name, {}) for name in sorted(EXPERIMENTS)}
         script = (
             "import json, sys\n"
-            "import weaksep.cli, weaksep.experiments\n"
+            "import weaksep.cli\n"
             "from weaksep.experiments import ExperimentSpec, run\n"
-            "names = ('scipy.stats', 'scipy.integrate')\n"
-            "before = [n for n in names if n in sys.modules]\n"
-            f"run(ExperimentSpec('tsvf-separation', {{}}, 1, {str(tmp_path)!r}))\n"
-            "print(json.dumps([before, [n for n in names if n in sys.modules]]))\n"
+            f"for name, params in {specs!r}.items():\n"
+            f"    run(ExperimentSpec(name, params, 1, {str(tmp_path)!r} + '/' + name))\n"
+            "print(json.dumps([n for n in ('scipy.integrate', 'scipy.stats')"
+            " if n in sys.modules]))\n"
         )
         out = subprocess.run([sys.executable, "-c", script],
                              env={**os.environ, "PYTHONPATH": SRC},
                              capture_output=True, text=True, check=True, timeout=120)
-        before, after = json.loads(out.stdout)
-        assert before == []
-        assert after == ["scipy.integrate"]
+        assert json.loads(out.stdout) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(EXPERIMENTS)
 
 
 _FLOATS = st.one_of(st.floats(), st.sampled_from(
@@ -588,6 +591,8 @@ class TestCli:
         ("tsvf-report", {"sigma_grid": [1e-300]}),
         ("tsvf-separation", {"g": 50.0, "eta1": 1.0}),
         ("tsvf-separation", {"sigma": 1e-300, "eta1": 1.0}),
+        ("fig2", {"sigma": 1e-300, "trials": 40}),
+        ("fig3", {"sigma_grid": [1e-300, 2e-300, 3e-300, 4e-300]}),
     ])
     def test_failing_runs_give_json_error_and_exit_2(self, tmp_path, capsys, experiment,
                                                      parameters):

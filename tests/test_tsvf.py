@@ -8,7 +8,7 @@ from scipy.integrate import quad, simpson
 from scipy.stats import kstest
 
 from oracles import (EQUAL_SUPERPOSITION, PAULI_Y, PAULI_Z, derive_generator,
-                     input_state_for_eta, needle_density_array, rejection_sample_batch,
+                     input_state_for_eta, needle_density_float, rejection_sample_batch,
                      weak_value)
 from weaksep import tsvf
 from weaksep.qubit import QubitState
@@ -198,34 +198,35 @@ class TestNeedleDensity:
         setup = TsvfSetup(1.0, 0.0, 2.0)
         xs = np.linspace(-8, 8, 50)
         want = np.exp(-xs**2 / 8.0) / (2.0 * math.sqrt(2 * math.pi))
-        assert needle_density_array(xs, setup) == pytest.approx(want, rel=1e-12)
+        assert needle_density(xs, setup) == pytest.approx(want, rel=1e-12)
 
     def test_eta_pi_density_is_symmetric(self):
         setup = TsvfSetup(math.pi, 0.3, 2.0)
         xs = np.linspace(0.1, 8, 20)
-        assert needle_density_array(xs, setup) == pytest.approx(
-            needle_density_array(-xs, setup), rel=1e-12)
+        assert needle_density(xs, setup) == pytest.approx(
+            needle_density(-xs, setup), rel=1e-12)
         assert quadrature_moments(setup).mean == pytest.approx(0.0, abs=1e-10)
 
-    # quad calls the density with floats, the grid oracles with arrays
+    # the package evaluates the density on arrays of nodes, scipy's quad (the
+    # tests' oracle) the float form at one x at a time
     @settings(max_examples=100, deadline=None)
     @given(etas, couplings, spreads, st.floats(min_value=-12.0, max_value=12.0))
     def test_float_is_the_array_entry(self, eta, g, sigma, t):
         setup = TsvfSetup(eta, g, sigma)
         x = t * sigma
-        assert needle_density(x, setup) == needle_density_array(np.array([x]), setup)[0]
+        assert needle_density_float(x, setup) == needle_density(np.array([x]), setup)[0]
 
     def test_float_is_the_array_entry_on_a_grid(self):
         for eta, g, sigma in [(0.2, 0.05, 2.0), (0.7, 0.3, 1.0), (2.5, 0.5, 5.0)]:
             setup = TsvfSetup(eta, g, sigma)
             xs = np.linspace(-12 * sigma, 12 * sigma, 3001)
-            singles = [needle_density(float(x), setup) for x in xs]
-            assert np.array_equal(singles, needle_density_array(xs, setup))
+            singles = [needle_density_float(float(x), setup) for x in xs]
+            assert np.array_equal(singles, needle_density(xs, setup))
 
     def test_total_mass_identity(self):
         for g, sigma, eta in [(0.1, 2.0, 0.3), (0.5, 1.0, 2.5)]:
             setup = TsvfSetup(eta, g, sigma)
-            mass, _ = quad(lambda x: needle_density(x, setup),
+            mass, _ = quad(lambda x: needle_density_float(x, setup),
                            -12 * sigma, 12 * sigma, limit=300)
             want = setup.a_plus + (1 - setup.b ** 2) / 2 * math.exp(-2 * (g * sigma) ** 2)
             assert mass == pytest.approx(want, rel=1e-10)
@@ -255,23 +256,26 @@ class TestQuadratureOracle:
     ])
     def test_density_is_the_array_entry_at_every_quadpack_point(self, monkeypatch, run,
                                                                 setups):
-        # the tsvf CSVs' quadrature columns are made of these values, one float at a time
-        xs = []
+        # the tsvf CSVs' quadrature columns are made of these values, one batch of
+        # Gauss-Kronrod nodes at a time: 21 for the whole range, 42 per bisection
+        batches = []
         real = tsvf.quad
 
-        def recorded(f, lo, hi, **kwargs):
+        def recorded(f, *args):
             def f_recorded(x):
-                xs.append(x)
+                batches.append(x.copy())
                 return f(x)
-            return real(f_recorded, lo, hi, **kwargs)
+            return real(f_recorded, *args)
 
         monkeypatch.setattr(tsvf, "quad", recorded)
         report = run(setups[0])
-        assert len(xs) == report.evaluations  # the count the headlines report
-        assert {type(x) for x in xs} == {float}
+        assert sum(x.size for x in batches) == report.evaluations  # the headlines' count
+        assert {(x.dtype, x.ndim) for x in batches} == {(np.dtype(np.float64), 1)}
+        assert {x.size for x in batches} == {21, 42}
         for setup in setups:
-            singles = [needle_density(x, setup) for x in xs]
-            assert np.array_equal(singles, needle_density_array(np.array(xs), setup))
+            for x in batches:
+                singles = [needle_density_float(v, setup) for v in x.tolist()]
+                assert np.array_equal(singles, needle_density(x, setup))
 
     def test_no_coupling_moments(self):
         report = quadrature_moments(TsvfSetup(1.0, 0.0, 2.0))
@@ -335,7 +339,7 @@ class TestRejectionSampler:
         accepted = rejection_sample_batch(setup, 10**5, derive_generator(204))
         sigma = setup.sigma
         xs = np.linspace(-12 * sigma, 12 * sigma, 20001)
-        pdf = needle_density_array(xs, setup)
+        pdf = needle_density(xs, setup)
         cdf_grid = np.concatenate([[0.0], np.cumsum(
             0.5 * (pdf[1:] + pdf[:-1]) * np.diff(xs))])
         cdf_grid /= cdf_grid[-1]
@@ -376,8 +380,8 @@ class TestSeparationReport:
         xs = np.linspace(-12 * sigma, 12 * sigma, 96001)
         z1 = quadrature_moments(s1).acceptance_prob / s1.postselect_prob
         z2 = quadrature_moments(s2).acceptance_prob / s2.postselect_prob
-        integrand = np.minimum(needle_density_array(xs, s1) / z1,
-                               needle_density_array(xs, s2) / z2)
+        integrand = np.minimum(needle_density(xs, s1) / z1,
+                               needle_density(xs, s2) / z2)
         grid_value = 0.5 * simpson(integrand, x=xs)
         assert report.bayes_error == pytest.approx(grid_value, abs=1e-6)
 
