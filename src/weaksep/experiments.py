@@ -434,11 +434,14 @@ def validate(spec: ExperimentSpec) -> list[str]:
                 build()
             except (ValueError, ArithmeticError) as exc:
                 errors.append(f"{label}: {exc}")
-    if spec.experiment == "fig2" and not errors:  # 0-step walks leave no steps to fit
+    if spec.experiment in ("fig2", "fig3") and not errors:
         wb = WalkBoundaries(*params["boundaries"])
         if wb.start_outcome(state_from_angle(params["start_angle_deg"])) is not None:
-            errors.append(f"start_angle_deg: {params['start_angle_deg']} is on or past a "
-                          f"boundary of {params['boundaries']}, so no walk takes a step")
+            if spec.experiment == "fig2":  # 0-step walks leave no steps to fit
+                errors.append(f"start_angle_deg: {params['start_angle_deg']} is on or past a "
+                              f"boundary of {params['boundaries']}, so no walk takes a step")
+        elif wb.log_odds_zero == -wb.log_odds_one == math.inf:  # no finite log-odds crosses
+            errors.append(f"boundaries: {params['boundaries']} are both axes, so no walk collapses")
     return list(dict.fromkeys(errors))
 
 

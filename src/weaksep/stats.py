@@ -236,10 +236,6 @@ class LogNormalFit:
     r_squared: float
     r_squared_log_bins: float = float("nan")
 
-    @property
-    def median(self) -> float:
-        return math.exp(self.mu_tilde)
-
 
 # The pdfs below perform scipy.stats' operations in scipy's order (squares as
 # products, which is what numpy's x**2 computes), so fits score bit for bit alike.

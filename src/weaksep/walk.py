@@ -31,8 +31,8 @@ every walk runs on it: `run_ensemble`, the sign tests of `discriminate` and
 the trajectory dump of `experiments`; it keeps one index of walking lanes.
 Lane i walks on lane i of a `stats.LaneStreams`, the stream
 ``SeedSequence(master_seed, spawn_key=(*seed_path, i))`` as uint64 words, so
-a trial is a pure function of (master_seed, seed_path, index); the tests
-hold it to a scalar walk on a Generator of that stream, bit for bit.
+a trial is a pure function of (master_seed, seed_path, index). The tests hold
+it bit for bit to a scalar walk that takes its own steps on that stream.
 
 `run_ensemble` walks its lanes in equal contiguous slices of at most
 `_MAX_SLICE_LANES`, which bounds the kernel's memory, on one forked worker
@@ -123,19 +123,6 @@ def default_max_steps(pm: PointerModel) -> int:
     return max(1, math.ceil(200.0 * pm.sigma * pm.sigma))
 
 
-# The step's arithmetic, shared with the tests' scalar walk so that the two
-# cannot drift apart numerically.
-
-def _reading_from_uniforms(p_zero, u_branch, u_noise, g, sigma):
-    shift = np.where(u_branch < p_zero, g, -g)
-    z = ndtri(np.maximum(u_noise, _MIN_UNIFORM))
-    return shift + sigma * z
-
-
-def _advanced_log_odds(L, x, g, sig2):
-    return L + (2.0 * g * x) / sig2
-
-
 def state_log_odds(s: QubitState) -> float:
     """L = ln(alpha^2/beta^2) of a state; +inf at |0>, -inf at |1>."""
     if s.alpha == 0.0:
@@ -180,8 +167,7 @@ _BLOCK_STEPS = _MAX_JUMP // 2  # a block's 2 uniforms per step stay within the j
 
 def _lockstep(L, pm: PointerModel, wb: WalkBoundaries | None, max_steps: int,
               streams: LaneStreams):
-    """The vectorized walk: lane i of L takes readings on its own stream, lane i
-    of `streams`.
+    """The vectorized walk: lane i of L takes readings on lane i of `streams`.
 
     A lane stops after the reading whose updated log-odds crosses a boundary
     of wb, or after max_steps readings; wb=None means no boundary, so every
@@ -205,9 +191,9 @@ def _lockstep(L, pm: PointerModel, wb: WalkBoundaries | None, max_steps: int,
         for i in range(k):
             t += 1
             L_lanes = L[lanes]
-            x = _reading_from_uniforms(expit(L_lanes), block[rows, 2 * i],
-                                       block[rows, 2 * i + 1], pm.g, pm.sigma)
-            L_lanes = _advanced_log_odds(L_lanes, x, pm.g, sig2)
+            shift = np.where(block[rows, 2 * i] < expit(L_lanes), pm.g, -pm.g)
+            x = shift + pm.sigma * ndtri(np.maximum(block[rows, 2 * i + 1], _MIN_UNIFORM))
+            L_lanes = L_lanes + (2.0 * pm.g * x) / sig2
             L[lanes] = L_lanes
             if wb is not None:
                 done = (L_lanes >= l_zero) | (L_lanes <= l_one)

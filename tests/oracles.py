@@ -8,6 +8,12 @@ protocols build on it. Also: Born weights, the back-action of one reading
 on a state, weak values, a rejection sampler of post-selected readings, the
 post-selected needle density at one float, and the row-at-a-time CSV
 writer. The package never imports this.
+
+The step is written here again, not imported: `reading_from_uniforms`, the
+log-odds update in `run_walk` and `bias_update` share no arithmetic with the
+kernel or the trajectory dump, so the bit-for-bit tests check that arithmetic.
+The package's definitions of a state's log-odds, a boundary and the smallest
+uniform are shared.
 """
 
 from __future__ import annotations
@@ -24,8 +30,7 @@ from weaksep.discriminate import Candidate
 from weaksep.qubit import QubitState
 from weaksep.stats import _MIN_UNIFORM, binomial_stderr
 from weaksep.tsvf import TsvfSetup
-from weaksep.walk import (Outcome, PointerModel, WalkBoundaries, _advanced_log_odds,
-                          _back_action, _reading_from_uniforms, default_max_steps,
+from weaksep.walk import (Outcome, PointerModel, WalkBoundaries, default_max_steps,
                           run_ensemble, state_log_odds)
 
 
@@ -70,9 +75,29 @@ def _state_from_log_odds(L: float) -> QubitState:
     return QubitState(math.sqrt(float(expit(L))), math.sqrt(float(expit(-L))))
 
 
+def reading_from_uniforms(p_zero, u_branch, u_noise, g: float, sigma: float):
+    """The needle readings of states of |0> weight p_zero, from the branch and noise
+    uniforms: +g where u_branch < p_zero, else -g, plus sigma ndtri(u_noise).
+    Accepts scalars or arrays."""
+    shift = np.where(u_branch < p_zero, g, -g)
+    return shift + sigma * ndtri(np.maximum(u_noise, _MIN_UNIFORM))
+
+
 def bias_update(s: QubitState, x0: float, pm: PointerModel) -> QubitState:
-    """Back-action of reading x0 on the state s (see `walk._back_action`)."""
-    return QubitState(*_back_action(s.alpha, s.beta, x0, pm.g, pm.sigma))
+    """Back-action of reading x0 on the state s: the amplitudes reweighted by the
+    Gaussian branch weights and renormalized.
+
+    The exponents are taken relative to their maximum, so one weight is exactly 1
+    and the suppressed branch underflows to 0 instead of producing (0, 0).
+    """
+    four_s2 = 4.0 * pm.sigma * pm.sigma
+    e0 = -((x0 - pm.g) ** 2) / four_s2
+    e1 = -((x0 + pm.g) ** 2) / four_s2
+    m = max(e0, e1)
+    w0 = s.alpha * math.exp(e0 - m)
+    w1 = s.beta * math.exp(e1 - m)
+    norm = math.hypot(w0, w1)
+    return QubitState(w0 / norm, w1 / norm)
 
 
 def posterior_weight(S, s0: QubitState, pm: PointerModel):
@@ -129,8 +154,8 @@ def run_walk(
         p = expit(L)
         u1 = rng.random()
         u2 = rng.random()
-        x = _reading_from_uniforms(p, u1, u2, pm.g, pm.sigma)
-        L = _advanced_log_odds(L, x, pm.g, sig2)
+        x = reading_from_uniforms(p, u1, u2, pm.g, pm.sigma)
+        L = L + (2.0 * pm.g * x) / sig2  # the back-action in log-odds form
         readings.append(float(x))
         if wb is None:
             continue

@@ -113,6 +113,10 @@ class TestValidate:
         ("tsvf-separation", {"sigma": 1e-300, "eta1": 1.0}, False),
         ("fig2", {"sigma": 1e-300, "trials": 40}, False),
         ("fig3", {"sigma_grid": [1e-300, 2e-300, 3e-300, 4e-300]}, False),
+        # boundaries on both axes: no walk can collapse, so each would run to its cap
+        ("fig2", {"boundaries": [0.0, 90.0], "trials": 40, "sigma": 2.0}, False),
+        ("fig3", {"boundaries": [0.0, 90.0], "sigma_grid": [2.0, 3.0, 4.0, 5.0], "trials": 40},
+         False),
     ])
     def test_verdict_is_the_runs(self, tmp_path, capsys, experiment, parameters, runs):
         out = tmp_path / "out"

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 from oracles import (bias_update, born_probabilities, derive_generator, posterior_weight,
-                     run_walk, strong_measure)
+                     reading_from_uniforms, run_walk, strong_measure)
 from weaksep.qubit import QubitState, state_from_angle
 from weaksep.stats import LaneStreams
 from weaksep.walk import (
@@ -13,7 +14,6 @@ from weaksep.walk import (
     PointerModel,
     WalkBoundaries,
     _lockstep,
-    _reading_from_uniforms,
     default_max_steps,
     run_ensemble,
     state_log_odds,
@@ -50,7 +50,7 @@ class TestSampleReading:
                                       (45.0, 3, 0.0, math.sqrt(pm.sigma**2 + 1))):
             alpha = state_from_angle(angle).alpha
             u = derive_generator(seed).random(2 * n)
-            readings = _reading_from_uniforms(alpha * alpha, u[0::2], u[1::2], pm.g, pm.sigma)
+            readings = reading_from_uniforms(alpha * alpha, u[0::2], u[1::2], pm.g, pm.sigma)
             assert abs(readings.mean() - want) < 3 * sd / math.sqrt(n)
 
 
@@ -184,7 +184,7 @@ class TestStep:
         s0 = state_from_angle(45.0)
         n = 10**5
         u = derive_generator(10).random(2 * n)
-        readings = _reading_from_uniforms(s0.alpha * s0.alpha, u[0::2], u[1::2], pm.g, pm.sigma)
+        readings = reading_from_uniforms(s0.alpha * s0.alpha, u[0::2], u[1::2], pm.g, pm.sigma)
         weights = posterior_weight(readings, s0, pm)
         se = weights.std() / math.sqrt(n)
         assert abs(weights.mean() - 0.5) < 3 * se
@@ -276,6 +276,24 @@ def test_lockstep_over_no_lanes_takes_no_step(wb):
     assert next(_lockstep(np.empty(0), PointerModel(3.0), wb, 10**9, streams), None) is None
 
 
+def test_lockstep_log_odds_are_the_oracle_steps():
+    # 70 steps without a boundary, three blocks of uniforms: each lane's final log-odds
+    # is the oracle's step iterated on that lane's uniforms, bit for bit. Neither 2g nor
+    # sigma^2 is a power of 2, and L stays near 0, so a last-bit change in a step is
+    # neither exact nor absorbed into a large L.
+    pm, s0, steps = PointerModel(20.0, g=0.7), state_from_angle(40.0), 70
+    L = np.full(8, state_log_odds(s0))
+    for _ in _lockstep(L, pm, None, steps, LaneStreams(17, (2,), np.arange(8))):
+        pass
+    for i in range(8):
+        u = derive_generator(17, 2, i).random(2 * steps)
+        want = state_log_odds(s0)
+        for t in range(steps):
+            x = reading_from_uniforms(expit(want), u[2 * t], u[2 * t + 1], pm.g, pm.sigma)
+            want = want + (2.0 * pm.g * x) / (pm.sigma * pm.sigma)
+        assert L[i] == want
+
+
 class TestRunEnsemble:
     def test_single_trial_equals_run_walk(self):
         pm = PointerModel(5.0)
@@ -337,7 +355,7 @@ class TestRunEnsemble:
         pm = PointerModel(5.0, g=2.0)
         s0 = state_from_angle(45.0)
         u = derive_generator(62).random(2 * 2000)
-        readings = _reading_from_uniforms(s0.alpha * s0.alpha, u[0::2], u[1::2], pm.g, pm.sigma)
+        readings = reading_from_uniforms(s0.alpha * s0.alpha, u[0::2], u[1::2], pm.g, pm.sigma)
         s = s0
         for x in readings[:20]:
             s = bias_update(s, float(x), pm)
