@@ -255,10 +255,11 @@ def _run_tsvf_report(params, master_seed, outdir, files) -> dict:
     rows = []
     worst_mean = worst_second = worst_err = 0.0
     evaluations = 0
-    for g, sigma, eta in product(params["g_grid"], params["sigma_grid"], params["eta_grid"]):
-        setup = TsvfSetup(eta, g, sigma)
+    setups = [TsvfSetup(eta, g, sigma) for g, sigma, eta
+              in product(params["g_grid"], params["sigma_grid"], params["eta_grid"])]
+    for setup, orc in zip(setups, quadrature_moments(setups)):
+        eta, g, sigma = setup.eta, setup.g, setup.sigma
         ana = analytic_moments(setup)
-        orc = quadrature_moments(setup)
         rows.append((eta, g, sigma, ana.mean, orc.mean, ana.second_moment, orc.second_moment,
                      setup.postselect_prob))
         worst_mean = max(worst_mean, abs(ana.mean - orc.mean) / sigma)
@@ -437,9 +438,9 @@ def validate(spec: ExperimentSpec) -> list[str]:
     if spec.experiment in ("fig2", "fig3") and not errors:
         wb = WalkBoundaries(*params["boundaries"])
         if wb.start_outcome(state_from_angle(params["start_angle_deg"])) is not None:
-            if spec.experiment == "fig2":  # 0-step walks leave no steps to fit
-                errors.append(f"start_angle_deg: {params['start_angle_deg']} is on or past a "
-                              f"boundary of {params['boundaries']}, so no walk takes a step")
+            # 0-step walks leave no steps to fit
+            errors.append(f"start_angle_deg: {params['start_angle_deg']} is on or past a "
+                          f"boundary of {params['boundaries']}, so no walk takes a step")
         elif wb.log_odds_zero == -wb.log_odds_one == math.inf:  # no finite log-odds crosses
             errors.append(f"boundaries: {params['boundaries']} are both axes, so no walk collapses")
     return list(dict.fromkeys(errors))

@@ -1,4 +1,4 @@
-"""QUADPACK's QAGS on a finite interval, with the integrand evaluated in batches.
+"""QUADPACK's QAGS on finite intervals, many integrals in lockstep.
 
 A port of dqagse (Piessens et al. 1983, *QUADPACK*), what `scipy.integrate.quad`
 runs on a finite interval: adaptive bisection, with extrapolation by Wynn's
@@ -6,70 +6,81 @@ epsilon algorithm, and the routines it calls: dqk21 (the 21-point Gauss-Kronrod
 rule), dqpsrt (the error estimates in descending order) and dqelg (the epsilon
 table). Every floating-point operation happens in QUADPACK's order, so for the
 same integrand values the result, error estimate and evaluation count equal
-scipy's bit for bit. Only the calling convention differs: `qags` calls f on a
-float64 array of nodes, the 21 of the whole interval and then the 42 of both
-halves of each bisection. The Kronrod sums run over Python floats in dqk21's
-order, as a numpy reduction would round differently. Lists are 1-based like
-QUADPACK's arrays; entry 0 is unused.
+scipy's bit for bit. Only the calling convention differs: `qags_many` takes the
+bisections of up to WINDOW integrals in lockstep, with one call of the
+integrand per round on a row of 21 nodes for each interval any of them waits
+on, and dqk21 on all the rows at once. Its Kronrod sums add left to right along
+each row (`np.add.accumulate`, in dqk21's order; a numpy reduction would round
+differently), so no number depends on WINDOW or on which integrals share a
+round. `qags` is `qags_many` on one integral, whose rounds hold one or two rows:
+callers with many integrals pass them together. Lists are 1-based like
+QUADPACK's arrays (entry 0 is unused) and grow with the intervals.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from itertools import islice
 
 import numpy as np
 
 EPMACH = sys.float_info.epsilon  # d1mach(4)
 UFLOW = sys.float_info.min  # d1mach(1)
 OFLOW = sys.float_info.max  # d1mach(2)
+# integrals in flight in `qags_many`: rounds of up to 2 * WINDOW intervals, and
+# QUADPACK's per-integral lists held for WINDOW integrals at a time
+WINDOW = 64
 
 # the doubles nearest QUADPACK's constants: dqk21's abscissae xgk(1..10) (xgk(11), the
 # centre, is 0), its weights wgk(1..11), and the Gauss weights wg(1..5) of xgk(2), xgk(4), ...
 _XGK = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
                  0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
                  0.2943928627014602, 0.14887433898163122])
-_WGK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
-        0.07503967481091996, 0.0931254545836976, 0.10938715880229764, 0.12349197626206584,
-        0.13470921731147334, 0.14277593857706009, 0.14773910490133849, 0.1494455540029169)
-_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
-       0.29552422471475287)
-# (0-based index j of xgk, wgk(j+1), wg or None) in dqk21's order: the Gauss nodes first
-_KRONROD_ORDER = ([(j, _WGK[j], _WG[j // 2]) for j in range(1, 10, 2)]
-                  + [(j, _WGK[j], None) for j in range(0, 10, 2)])
+_WGK = np.array([0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+                 0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+                 0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+                 0.14773910490133849, 0.1494455540029169])
+_WG = np.array([0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+                0.26926671930999635, 0.29552422471475287])
+# the 0-based j of xgk(j + 1) in the order dqk21 sums them: the Gauss nodes first
+_KRONROD_ORDER = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
 
 
-def dqk21(f, intervals):
-    """dqk21 on each (a, b) of `intervals`: a list of (result, abserr, resabs, resasc).
-    f is called once, on the nodes of all the intervals: for each, its centre,
-    then centre - hlgth * xgk(j) and centre + hlgth * xgk(j) for j = 1..10."""
-    halves = [0.5 * (b - a) for a, b in intervals]
-    c = np.array([0.5 * (a + b) for a, b in intervals])[:, None]
-    absc = np.array(halves)[:, None] * _XGK
-    values = f(np.concatenate((c, c - absc, c + absc), axis=1).ravel()).tolist()
+def _sum(first, terms):
+    """first + terms[:, 0] + terms[:, 1] + ..., added left to right along each row."""
+    return np.add.accumulate(np.concatenate((first, terms), axis=1), axis=1)[:, -1]
+
+
+def dqk21(f, intervals, owners):
+    """dqk21 on each (a, b) row of the array `intervals`: a list of (result, abserr,
+    resabs, resasc). f is called once, as f(x, owners): row i of x holds the nodes of
+    interval i (its centre, then centre - hlgth * xgk(j) for j = 1..10, then
+    centre + hlgth * xgk(j)), and f returns their values in the same shape."""
+    hlgth = 0.5 * (intervals[:, 1] - intervals[:, 0])
+    c = 0.5 * (intervals[:, :1] + intervals[:, 1:])
+    absc = hlgth[:, None] * _XGK
+    values = f(np.concatenate((c, c - absc, c + absc), axis=1), owners)
+    fc, fv1, fv2 = values[:, :1], values[:, 1:11], values[:, 11:]
+    centre = _WGK[10] * fc
+    wgk = _WGK[_KRONROD_ORDER]
+    fsum = (fv1 + fv2)[:, _KRONROD_ORDER]
+    resg = _sum(np.zeros_like(fc), _WG * fsum[:, :5])
+    resk = _sum(centre, wgk * fsum)
+    resabs = _sum(np.abs(centre), wgk * (np.abs(fv1) + np.abs(fv2))[:, _KRONROD_ORDER])
+    reskh = (resk * 0.5)[:, None]
+    resasc = _sum(_WGK[10] * np.abs(fc - reskh),
+                  _WGK[:10] * (np.abs(fv1 - reskh) + np.abs(fv2 - reskh)))
     out = []
-    for i, hlgth in enumerate(halves):
-        k = 21 * i
-        fc, fv1, fv2 = values[k], values[k + 1:k + 11], values[k + 11:k + 21]
-        resg, resk = 0.0, _WGK[10] * fc
-        resabs = abs(resk)
-        for j, wgk, wg in _KRONROD_ORDER:
-            fsum = fv1[j] + fv2[j]
-            if wg is not None:
-                resg = resg + wg * fsum
-            resk = resk + wgk * fsum
-            resabs = resabs + wgk * (abs(fv1[j]) + abs(fv2[j]))
-        reskh = resk * 0.5
-        resasc = _WGK[10] * abs(fc - reskh)
-        for wgk, fval1, fval2 in zip(_WGK, fv1, fv2):
-            resasc = resasc + wgk * (abs(fval1 - reskh) + abs(fval2 - reskh))
-        resabs, resasc = resabs * abs(hlgth), resasc * abs(hlgth)
-        abserr = abs((resk - resg) * hlgth)
+    # math.pow, one interval at a time: np.power's vector code need not round as libm does
+    for result, abserr, resabs, resasc in zip(
+            (resk * hlgth).tolist(), np.abs((resk - resg) * hlgth).tolist(),
+            (resabs * np.abs(hlgth)).tolist(), (resasc * np.abs(hlgth)).tolist()):
         if resasc != 0.0 and abserr != 0.0:
             abserr = resasc * min(1.0, math.pow(200.0 * abserr / resasc, 1.5))
         if resabs > UFLOW / (50.0 * EPMACH):
             abserr = max((EPMACH * 50.0) * resabs, abserr)
-        out.append((resk * hlgth, abserr, resabs, resasc))
+        out.append((result, abserr, resabs, resasc))
     return out
 
 
@@ -158,23 +169,20 @@ def dqelg(n, epstab, res3la, nres):
     return n, result, max(abserr, 5.0 * EPMACH * abs(result)), nres
 
 
-def qags(f, a, b, epsabs, epsrel, limit):
-    """dqagse: the integral of f over [a, b], as (result, abserr, neval, ier).
-
-    f maps a float64 array of nodes to the array of its values. ier is QUADPACK's: 0
-    success, 1 `limit` intervals used, 2 roundoff, 3 bad integrand behaviour, 4 roundoff
-    in the extrapolation, 5 divergence."""
+def _dqagse(a, b, epsabs, epsrel, limit):
+    """dqagse as a generator: it yields the list of intervals it needs dqk21 on next,
+    is sent their (result, abserr, resabs, resasc) tuples, and returns what `qags` does."""
     if limit < 1 or (epsabs <= 0 and epsrel < max(50 * EPMACH, 5e-29)):
         raise ValueError("qags needs limit >= 1, and epsrel >= max(50 eps, 5e-29) if epsabs <= 0")
-    (result, abserr, defabs, resabs), = dqk21(f, [(a, b)])
+    (result, abserr, defabs, resabs), = yield [(a, b)]
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
     ier = 1 if limit == 1 else 2 if abserr <= 100.0 * EPMACH * defabs and abserr > errbnd else 0
     if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
         return result, abserr, 21, ier
-    alist, blist, rlist, elist = ([0.0] * (limit + 1) for _ in range(4))
-    iord, rlist2, res3la = [0] * (limit + 1), [0.0] * 53, [0.0] * 4
-    alist[1], blist[1], rlist[1], elist[1], iord[1], rlist2[1] = a, b, result, abserr, 1, result
+    alist, blist, rlist, elist, iord = [0.0, a], [0.0, b], [0.0, result], [0.0, abserr], [0, 1]
+    rlist2, res3la = [0.0] * 53, [0.0] * 4
+    rlist2[1] = result
     errmax, maxerr, area, errsum, abserr = abserr, 1, result, abserr, OFLOW
     nrmax, nres, numrl2, ktmin, ierro, iroff3, extrap, noext = 1, 0, 2, 0, 0, 0, False, False
     iroff = [0, 0]  # QUADPACK's iroff1 and iroff2, counted without and with extrapolation
@@ -185,7 +193,7 @@ def qags(f, a, b, epsabs, epsrel, limit):
         a1, b1 = alist[maxerr], 0.5 * (alist[maxerr] + blist[maxerr])
         a2, b2 = b1, blist[maxerr]
         erlast = errmax
-        (area1, error1, _, defab1), (area2, error2, _, defab2) = dqk21(f, [(a1, b1), (a2, b2)])
+        (area1, error1, _, defab1), (area2, error2, _, defab2) = yield [(a1, b1), (a2, b2)]
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax
@@ -200,7 +208,9 @@ def qags(f, a, b, epsabs, epsrel, limit):
         # ier is 0 here; of QUADPACK's assignments in turn, the last that applies holds
         ier = (4 if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * EPMACH) * (abs(a2) + 1000.0 * UFLOW)
                else 1 if last == limit else 2 if sum(iroff) >= 10 or iroff3 >= 20 else 0)
-        # interval maxerr keeps the half with the larger error, last gets the other
+        # interval maxerr keeps the half with the larger error, a new interval last the other
+        for entries in (alist, blist, rlist, elist, iord):
+            entries.append(0)
         halves = [(a1, b1, area1, error1), (a2, b2, area2, error2)]
         for k, half in zip((maxerr, last), halves[::-1] if error2 > error1 else halves):
             alist[k], blist[k], rlist[k], elist[k] = half
@@ -268,3 +278,41 @@ def qags(f, a, b, epsabs, epsrel, limit):
             result = result + rlist[k]
         abserr = errsum
     return result, abserr, 42 * last - 21, ier - 1 if ier > 2 else ier
+
+
+def qags_many(f, problems):
+    """dqagse on each (a, b, epsabs, epsrel, limit) of `problems`, in lockstep: a list
+    of (result, abserr, neval, ier), each what `qags` returns for that problem alone.
+
+    Up to WINDOW integrals are in flight; as one finishes, the next problem starts.
+    Each round calls f(x, owners) once: x has a row of 21 nodes for each interval an
+    integral in flight waits on, and owners[i] is the index in `problems` of row i's
+    integral. f returns the integrand values in x's shape."""
+    results = [None] * len(problems)
+    waiting = iter(enumerate(problems))
+    flight = []  # (index in problems, its dqagse, the intervals it waits on)
+    while True:
+        for i, problem in islice(waiting, WINDOW - len(flight)):
+            run = _dqagse(*problem)
+            flight.append((i, run, next(run)))
+        if not flight:
+            return results
+        owners = np.array([i for i, _, wanted in flight for _ in wanted])
+        rules = dqk21(f, np.array([ab for _, _, wanted in flight for ab in wanted]), owners)
+        running, k = [], 0
+        for i, run, wanted in flight:
+            try:
+                running.append((i, run, run.send(rules[k:k + len(wanted)])))
+            except StopIteration as finished:
+                results[i] = finished.value
+            k += len(wanted)
+        flight = running
+
+
+def qags(f, a, b, epsabs, epsrel, limit):
+    """dqagse: the integral of f over [a, b], as (result, abserr, neval, ier).
+
+    f maps a float64 array of nodes to the array of its values. ier is QUADPACK's: 0
+    success, 1 `limit` intervals used, 2 roundoff, 3 bad integrand behaviour, 4 roundoff
+    in the extrapolation, 5 divergence."""
+    return qags_many(lambda x, _owners: f(x), [(a, b, epsabs, epsrel, limit)])[0]

@@ -20,9 +20,12 @@ Closed-form conditional moments (E = exp(-2 (g sigma)^2)), all computed in
     <X^2> = sigma^2 (1 - cos(eta) E (1 - 4 g^2 sigma^2)) / (1 - cos(eta) E)
 
 Each is paired with an adaptive-quadrature oracle: the package's port of
-QUADPACK's QAGS (`weaksep.quadpack`) evaluates `needle_density` on arrays of
-Gauss-Kronrod nodes, 42 per bisection. The density one float at a time, the
-weak value and a rejection sampler are the tests' oracles, not the package's.
+QUADPACK's QAGS (`weaksep.quadpack`), called through `quad`, integrates many
+setups in lockstep, one `needle_density` call per round on a row of 21
+Gauss-Kronrod nodes per interval, each row with its own setup's g, sigma and
+b. A lone integral costs about twice as much, so callers pass every setup of
+a run at once. The density one float at a time, the weak value and a
+rejection sampler are the tests' oracles, not the package's.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import takewhile
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -120,11 +125,13 @@ def analytic_moments(setup: TsvfSetup) -> MomentReport:
     return MomentReport(m1, m2, m2 - m1 * m1, setup.postselect_prob, acceptance)
 
 
-def needle_density(x, setup: TsvfSetup):
+def needle_density(x, setup):
     """Unnormalized conditional reading density (cos gx + b sin gx)^2 N(x; 0, sigma^2).
 
     Includes the Gaussian normalizer, so the total mass is
-    (1 + b^2)/2 + (1 - b^2)/2 exp(-2 (g sigma)^2). x is a numpy array of nodes.
+    (1 + b^2)/2 + (1 - b^2)/2 exp(-2 (g sigma)^2). x is a numpy array of nodes; setup
+    is a TsvfSetup, or anything whose g, sigma and b broadcast against x, such as a
+    column per row of a batch of quadrature nodes (`_columns`).
     """
     sig = setup.sigma
     gauss = np.exp(-x * x / (2.0 * sig * sig)) / (sig * math.sqrt(2.0 * math.pi))
@@ -135,34 +142,67 @@ def needle_density(x, setup: TsvfSetup):
     return np.float_power(amp, 2.0) * gauss
 
 
-def quad(f, lo, hi, epsabs, epsrel, limit):
-    """weaksep.quadpack.qags, imported on the first call: only tsvf quadrature needs it."""
-    from weaksep.quadpack import qags
+def _columns(setups):
+    """owners -> the g, sigma and b of setups[owners], as columns against a node batch."""
+    g, sigma, b = np.array([(s.g, s.sigma, s.b) for s in setups]).reshape(-1, 3).T[:, :, None]
+    return lambda owners: SimpleNamespace(g=g[owners], sigma=sigma[owners], b=b[owners])
 
-    return qags(f, lo, hi, epsabs, epsrel, limit)
+
+def quad(f, problems):
+    """weaksep.quadpack.qags_many, imported on the first call: only tsvf quadrature needs it."""
+    from weaksep.quadpack import qags_many
+
+    return qags_many(f, problems)
 
 
-def _quad(f, lo, hi, scale: float):
-    """(integral, integrand evaluations, abserr / tolerance) at tolerance QUAD_TOL * scale."""
-    tol = QUAD_TOL * scale
-    value, abserr, neval, _ = quad(f, lo, hi, tol * 1e-2, 1e-12, 500)
+def _quadratures(f, lims, scales):
+    """quad of f over each [-lim, lim], at tolerance QUAD_TOL * scale: for each, the
+    (integral, abserr, evaluations, tolerance) that `_checked` reads."""
+    tols = [QUAD_TOL * scale for scale in scales]
+    problems = [(-lim, lim, tol * 1e-2, 1e-12, 500) for lim, tol in zip(lims, tols)]
+    return [(value, abserr, neval, tol)
+            for tol, (value, abserr, neval, _) in zip(tols, quad(f, problems))]
+
+
+def _checked(value, abserr, neval, tol):
+    """(integral, integrand evaluations, abserr / tolerance), or the QuadratureError."""
     if abserr > tol:
         raise QuadratureError(
             f"quadrature achieved absolute error {abserr:.3e}, needed {tol:.3e}")
     return value, neval, abserr / tol
 
 
-def quadrature_moments(setup: TsvfSetup) -> MomentReport:
-    """Oracle MomentReport: adaptive quadrature of the conditional density."""
-    lim = QUAD_RANGE_SIGMAS * setup.sigma
-    mass, n0, r0 = _quad(lambda x: needle_density(x, setup), -lim, lim, 1.0 * setup.a_plus)
-    m1, n1, r1 = _quad(lambda x: x * needle_density(x, setup), -lim, lim, setup.sigma * mass)
-    m2, n2, r2 = _quad(lambda x: x * x * needle_density(x, setup), -lim, lim,
-                       setup.sigma ** 2 * mass)
-    m1, m2 = m1 / mass, m2 / mass
-    acceptance = setup.postselect_prob * mass
-    return MomentReport(m1, m2, m2 - m1 * m1, setup.postselect_prob, acceptance,
-                        n0 + n1 + n2, max(r0, r1, r2))
+def quadrature_moments(setups) -> list[MomentReport]:
+    """Oracle MomentReports of a sequence of setups: adaptive quadrature of each
+    conditional density, every mass integral in one `quad` call, then every <X> and
+    <X^2> integral in another.
+
+    A failure raises the QuadratureError that the setups one at a time would raise
+    first: setup by setup, mass, then <X>, then <X^2>. The moments of setups from the
+    first failed mass on are not integrated."""
+    lims = [QUAD_RANGE_SIGMAS * s.sigma for s in setups]
+    columns = _columns(setups)
+    masses = _quadratures(lambda x, owners: needle_density(x, columns(owners)), lims,
+                          [1.0 * s.a_plus for s in setups])
+    good = list(takewhile(lambda q: not q[1] > q[3], masses))  # those `_checked` passes
+
+    def moment(x, owners):  # problem 2i is the <X> of setup i, 2i + 1 its <X^2>
+        power = np.where(owners[:, None] % 2 == 1, x * x, x)
+        return power * needle_density(x, columns(owners // 2))
+
+    moments = _quadratures(moment, [lim for lim in lims[:len(good)] for _ in (1, 2)],
+                           [scale * value for (value, *_), s in zip(good, setups)
+                            for scale in (s.sigma, s.sigma ** 2)])
+    reports = []
+    for setup, *integrals in zip(setups, good, moments[0::2], moments[1::2]):
+        (mass, n0, r0), (m1, n1, r1), (m2, n2, r2) = (_checked(*q) for q in integrals)
+        m1, m2 = m1 / mass, m2 / mass
+        reports.append(MomentReport(m1, m2, m2 - m1 * m1, setup.postselect_prob,
+                                    setup.postselect_prob * mass, n0 + n1 + n2,
+                                    max(r0, r1, r2)))
+    if len(good) < len(masses):
+        _checked(*masses[len(good)])
+    return reports
 
 
 @dataclass
@@ -189,14 +229,15 @@ def separation_report(eta1: float, eta2: float, g: float, sigma: float) -> Separ
     s2 = TsvfSetup(eta2, g, sigma)
     a1 = analytic_moments(s1)
     a2 = analytic_moments(s2)
-    q1 = quadrature_moments(s1)
-    q2 = quadrature_moments(s2)
+    q1, q2 = quadrature_moments([s1, s2])
     lim = QUAD_RANGE_SIGMAS * sigma
     z1 = q1.acceptance_prob / s1.postselect_prob
     z2 = q2.acceptance_prob / s2.postselect_prob
-    overlap, n, r = _quad(lambda x: np.minimum(needle_density(x, s1) / z1,
-                                                 needle_density(x, s2) / z2),
-                          -lim, lim, 1.0)
+    # the one integral that runs alone: its integrand needs q1 and q2
+    [q] = _quadratures(lambda x, _owners: np.minimum(needle_density(x, s1) / z1,
+                                                       needle_density(x, s2) / z2),
+                       [lim], [1.0])
+    overlap, n, r = _checked(*q)
     return SeparationReport(a1, a2, a1.mean - a2.mean, 0.5 * overlap,
                             q1.evaluations + q2.evaluations + n,
                             max(q1.worst_err_ratio, q2.worst_err_ratio, r))

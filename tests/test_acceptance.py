@@ -202,17 +202,15 @@ def test_c08_fig6_median_stability():
 
 def test_c09_tsvf_analytic_oracle_grid():
     worst_mean = worst_second = 0.0
-    for g in GRID_G:
-        for sigma in GRID_SIGMA:
-            for eta in GRID_ETA:
-                setup = TsvfSetup(eta, g, sigma)
-                ana = analytic_moments(setup)
-                orc = quadrature_moments(setup)
-                worst_mean = max(worst_mean, abs(ana.mean - orc.mean)
-                                 / max(abs(ana.mean), 1e-300))
-                worst_second = max(worst_second,
-                                   abs(ana.second_moment - orc.second_moment)
-                                   / abs(ana.second_moment))
+    setups = [TsvfSetup(eta, g, sigma)
+              for g in GRID_G for sigma in GRID_SIGMA for eta in GRID_ETA]
+    for setup, orc in zip(setups, quadrature_moments(setups)):
+        ana = analytic_moments(setup)
+        worst_mean = max(worst_mean, abs(ana.mean - orc.mean)
+                         / max(abs(ana.mean), 1e-300))
+        worst_second = max(worst_second,
+                           abs(ana.second_moment - orc.second_moment)
+                           / abs(ana.second_moment))
     worst_id = 0.0
     for g in GRID_G:
         for sigma in GRID_SIGMA:
@@ -254,7 +252,7 @@ def test_c10_optimal_deflection():
 
 def test_c11_sampler_validation():
     setup = TsvfSetup(2.0, 0.05, 2.0)
-    report = quadrature_moments(setup)
+    [report] = quadrature_moments([setup])
     n = 10**6
     accepted = rejection_sample_batch(setup, n, derive_generator(MASTER_SEED, 11))
     rate = accepted.size / n
@@ -290,7 +288,7 @@ def test_c12_separation_honesty():
                     - 1.980133329777913) < 1e-12
     ok = ok and report.moments_1.variance > 0.9 * sigma**2
     setups = (TsvfSetup(eta1, g, sigma), TsvfSetup(2.0, g, sigma))
-    oracles = [quadrature_moments(setup) for setup in setups]
+    oracles = quadrature_moments(setups)
     for setup, mom in zip(setups, (report.moments_1, report.moments_2)):
         ok = ok and abs(mom.postselect_prob
                         - math.sin(setup.eta / 2.0) ** 2) < 1e-12

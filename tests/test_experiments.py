@@ -117,6 +117,8 @@ class TestValidate:
         ("fig2", {"boundaries": [0.0, 90.0], "trials": 40, "sigma": 2.0}, False),
         ("fig3", {"boundaries": [0.0, 90.0], "sigma_grid": [2.0, 3.0, 4.0, 5.0], "trials": 40},
          False),
+        ("fig3", {"sigma_grid": [2.0, 3.0, 4.0, 5.0], "trials": 40, "start_angle_deg": 0.0},
+         False),
     ])
     def test_verdict_is_the_runs(self, tmp_path, capsys, experiment, parameters, runs):
         out = tmp_path / "out"
@@ -232,9 +234,8 @@ class TestTrajectoryDump:
         # maxed-out walks, and walks longer than the kernel's 32-step blocks
         ("fig2", {"sigma": 5.0, "trials": 80, "max_steps": 40}, 3, None, None),
         ("fig2", {"sigma": 5.0, "trials": 30}, 2**64 - 1, None, None),
-        # a start on a boundary: no steps, header only
-        ("fig3", {"sigma_grid": [2.0, 3.0, 4.0, 5.0], "trials": 30, "start_angle_deg": 5.0},
-         8, None, None),
+        # fig3's seed paths at the default buffer
+        ("fig3", {"sigma_grid": [2.0, 3.0, 4.0, 5.0], "trials": 30}, 8, None, None),
         # a buffer of 40 readings: chunks of a few trials, and trials longer than it
         ("fig3", {"sigma_grid": [2.0, 3.0, 4.0, 5.0], "trials": 30}, 8, 40, None),
         # and a row window of 7: windows inside a trial, and on the one-trial path
@@ -278,6 +279,15 @@ class TestTrajectoryDump:
                                params["max_steps"], seed_path)
             assert (tmp_path / name).read_bytes() == want, name
 
+
+    def test_walks_of_no_steps_write_the_header_only(self, tmp_path):
+        # validate() rejects a start on a boundary, so no run dumps such walks
+        s0, pm, wb = state_from_angle(5.0), PointerModel(2.0), WalkBoundaries(10.0, 80.0)
+        path = tmp_path / "fig3_trajectories_sigma2.csv"
+        exp._write_csv(path, exp._TRAJECTORY_HEADER,
+                       exp._trajectory_rows(s0, pm, wb, np.zeros(30, dtype=np.int64), 8), [])
+        assert path.read_bytes() == oracle_dump(s0, pm, wb, 30, 8, None) == (
+            b"trial,step,reading,alpha,beta\n")
 
     def test_chunks_walk_at_most_one_slice(self, tmp_path, monkeypatch):
         # walks of about 2 steps at sigma 1: thousands of trials fit one buffer
@@ -359,8 +369,8 @@ class TestTsvfReport:
     def test_headline_reports_quadrature_work(self, tmp_path):
         params = {"g_grid": [0.05, 0.5], "sigma_grid": [2.0], "eta_grid": [0.2, 2.5]}
         headline = run(ExperimentSpec("tsvf-report", params, 12, str(tmp_path))).headline
-        reports = [quadrature_moments(TsvfSetup(eta, g, 2.0))
-                   for g in (0.05, 0.5) for eta in (0.2, 2.5)]
+        reports = quadrature_moments([TsvfSetup(eta, g, 2.0)
+                                      for g in (0.05, 0.5) for eta in (0.2, 2.5)])
         assert headline["quadrature_evaluations"] == sum(r.evaluations for r in reports)
         assert headline["worst_quadrature_err_ratio"] == max(r.worst_err_ratio for r in reports)
         assert 0.0 < headline["worst_quadrature_err_ratio"] <= 1.0
@@ -381,7 +391,7 @@ class TestTsvfSeparation:
         headline = run(ExperimentSpec("tsvf-separation", {}, 13, str(tmp_path))).headline
         eta1 = optimal_eta(0.05, 2.0)[0]
         report = separation_report(eta1, 2.0, 0.05, 2.0)
-        q1, q2 = (quadrature_moments(TsvfSetup(eta, 0.05, 2.0)) for eta in (eta1, 2.0))
+        q1, q2 = quadrature_moments([TsvfSetup(eta, 0.05, 2.0) for eta in (eta1, 2.0)])
         # the seven quadratures: three moments of each setup, then the overlap
         assert headline["quadrature_evaluations"] == report.evaluations
         assert report.evaluations > q1.evaluations + q2.evaluations > 0
@@ -422,6 +432,15 @@ class TestScipyImports:
                              capture_output=True, text=True, check=True, timeout=120)
         assert json.loads(out.stdout) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(EXPERIMENTS)
+
+    def test_importing_experiments_does_not_load_quadpack(self):
+        # every benchmark process imports weaksep.experiments, and only tsvf quadrature
+        # needs the QAGS port, which tsvf.quad imports on its first call
+        script = "import sys, weaksep.experiments; print('weaksep.quadpack' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", script],
+                             env={**os.environ, "PYTHONPATH": SRC},
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 _FLOATS = st.one_of(st.floats(), st.sampled_from(
@@ -597,6 +616,7 @@ class TestCli:
         ("tsvf-separation", {"sigma": 1e-300, "eta1": 1.0}),
         ("fig2", {"sigma": 1e-300, "trials": 40}),
         ("fig3", {"sigma_grid": [1e-300, 2e-300, 3e-300, 4e-300]}),
+        ("fig3", {"sigma_grid": [2.0, 3.0, 4.0, 5.0], "trials": 40, "start_angle_deg": 0.0}),
     ])
     def test_failing_runs_give_json_error_and_exit_2(self, tmp_path, capsys, experiment,
                                                      parameters):

@@ -205,7 +205,7 @@ class TestNeedleDensity:
         xs = np.linspace(0.1, 8, 20)
         assert needle_density(xs, setup) == pytest.approx(
             needle_density(-xs, setup), rel=1e-12)
-        assert quadrature_moments(setup).mean == pytest.approx(0.0, abs=1e-10)
+        assert quadrature_moments([setup])[0].mean == pytest.approx(0.0, abs=1e-10)
 
     # the package evaluates the density on arrays of nodes, scipy's quad (the
     # tests' oracle) the float form at one x at a time
@@ -239,46 +239,48 @@ class TestQuadratureOracle:
         calls = []
         real = tsvf.quad
 
-        def counted(*args, **kwargs):
-            calls.append(args[1:3])
-            return real(*args, **kwargs)
+        def counted(f, problems):
+            calls.append([problem[:2] for problem in problems])
+            return real(f, problems)
 
         monkeypatch.setattr(tsvf, "quad", counted)
         separation_report(0.4, 2.0, 0.05, 2.0)
-        assert calls == [(-24.0, 24.0)] * 7  # 3 moments per setup, then the overlap
+        # the masses of both setups, then their four moments, then the overlap alone
+        assert calls == [[(-24.0, 24.0)] * 2, [(-24.0, 24.0)] * 4, [(-24.0, 24.0)]]
 
     @pytest.mark.parametrize("run, setups", [
         (quadrature_moments, [TsvfSetup(0.2, 0.05, 2.0)]),
         (quadrature_moments, [TsvfSetup(2.5, 0.5, 5.0)]),
         (quadrature_moments, [TsvfSetup(math.pi, 1.0, 0.5)]),
-        (lambda _: separation_report(optimal_eta(0.05, 2.0)[0], 2.0, 0.05, 2.0),
+        (lambda s: [separation_report(s[0].eta, s[1].eta, 0.05, 2.0)],
          [TsvfSetup(optimal_eta(0.05, 2.0)[0], 0.05, 2.0), TsvfSetup(2.0, 0.05, 2.0)]),
     ])
     def test_density_is_the_array_entry_at_every_quadpack_point(self, monkeypatch, run,
                                                                 setups):
         # the tsvf CSVs' quadrature columns are made of these values, one batch of
-        # Gauss-Kronrod nodes at a time: 21 for the whole range, 42 per bisection
+        # Gauss-Kronrod nodes per round: a row of 21 for each interval in flight
         batches = []
         real = tsvf.quad
 
-        def recorded(f, *args):
-            def f_recorded(x):
+        def recorded(f, problems):
+            def f_recorded(x, owners):
                 batches.append(x.copy())
-                return f(x)
-            return real(f_recorded, *args)
+                return f(x, owners)
+            return real(f_recorded, problems)
 
         monkeypatch.setattr(tsvf, "quad", recorded)
-        report = run(setups[0])
-        assert sum(x.size for x in batches) == report.evaluations  # the headlines' count
-        assert {(x.dtype, x.ndim) for x in batches} == {(np.dtype(np.float64), 1)}
-        assert {x.size for x in batches} == {21, 42}
+        reports = run(setups)
+        # the headlines' count
+        assert sum(x.size for x in batches) == sum(r.evaluations for r in reports)
+        assert {(x.dtype, x.ndim, x.shape[1]) for x in batches} == {(np.dtype(np.float64), 2,
+                                                                      21)}
         for setup in setups:
             for x in batches:
-                singles = [needle_density_float(v, setup) for v in x.tolist()]
-                assert np.array_equal(singles, needle_density(x, setup))
+                singles = [needle_density_float(v, setup) for v in x.ravel().tolist()]
+                assert np.array_equal(singles, needle_density(x, setup).ravel())
 
     def test_no_coupling_moments(self):
-        report = quadrature_moments(TsvfSetup(1.0, 0.0, 2.0))
+        [report] = quadrature_moments([TsvfSetup(1.0, 0.0, 2.0)])
         assert report.mean == pytest.approx(0.0, abs=1e-10)
         assert report.second_moment == pytest.approx(4.0, rel=1e-10)
 
@@ -286,13 +288,13 @@ class TestQuadratureOracle:
         for g, sigma, eta in [(0.05, 2.0, 0.2), (0.5, 5.0, 2.5), (0.01, 1.0, 0.05)]:
             setup = TsvfSetup(eta, g, sigma)
             ana = analytic_moments(setup)
-            orc = quadrature_moments(setup)
+            [orc] = quadrature_moments([setup])
             assert orc.mean == pytest.approx(ana.mean, rel=1e-8, abs=1e-12)
             assert orc.second_moment == pytest.approx(ana.second_moment, rel=1e-8)
 
     def test_acceptance_probability_reported_both_ways(self):
         setup = TsvfSetup(0.7, 0.1, 2.0)
-        report = quadrature_moments(setup)
+        [report] = quadrature_moments([setup])
         assert report.postselect_prob == pytest.approx(
             math.sin(0.35) ** 2, abs=1e-12)
         want = 0.5 * (1.0 - math.cos(0.7) * math.exp(-2 * 0.04))
@@ -327,7 +329,7 @@ class TestRejectionSampler:
         setup = TsvfSetup(2.0, 0.05, 2.0)
         n = 10**5
         accepted = rejection_sample_batch(setup, n, derive_generator(203))
-        report = quadrature_moments(setup)
+        [report] = quadrature_moments([setup])
         rate = accepted.size / n
         se = math.sqrt(report.acceptance_prob * (1 - report.acceptance_prob) / n)
         assert abs(rate - report.acceptance_prob) < 3 * se
@@ -378,8 +380,8 @@ class TestSeparationReport:
         report = separation_report(eta1, 2.0, g, sigma)
         s1, s2 = TsvfSetup(eta1, g, sigma), TsvfSetup(2.0, g, sigma)
         xs = np.linspace(-12 * sigma, 12 * sigma, 96001)
-        z1 = quadrature_moments(s1).acceptance_prob / s1.postselect_prob
-        z2 = quadrature_moments(s2).acceptance_prob / s2.postselect_prob
+        z1, z2 = (q.acceptance_prob / s.postselect_prob
+                  for q, s in zip(quadrature_moments([s1, s2]), (s1, s2)))
         integrand = np.minimum(needle_density(xs, s1) / z1,
                                needle_density(xs, s2) / z2)
         grid_value = 0.5 * simpson(integrand, x=xs)
