@@ -25,8 +25,8 @@ from .discriminate import (MIN_CDF_TRIALS, MIN_CURVE_TRIALS, Candidate, average_
 from .qubit import helstrom_bound, make_discrimination_pair, state_from_angle
 from .stats import (MIN_FIT_SAMPLES, PRNG_ALGORITHM, LaneStreams, fit_lognormal,
                     quadratic_scaling_fit)
-from .tsvf import (QuadratureError, TsvfSetup, analytic_moments, optimal_eta,
-                   quadrature_moments, separation_report)
+from .tsvf import (TsvfSetup, analytic_moments, optimal_eta, quadrature_moments,
+                   separation_report)
 from .walk import (_MAX_SLICE_LANES, Outcome, PointerModel, WalkBoundaries, _back_action,
                    _lockstep, run_ensemble, state_log_odds)
 
@@ -451,9 +451,10 @@ def run(spec: ExperimentSpec) -> RunSummary:
 
     Partial outputs are removed if the run fails or is interrupted, and so
     are the directories the run created, while they are empty. A spec that
-    `validate` rejects, or whose run fails on its numbers (a ValueError,
-    ArithmeticError or QuadratureError) or on its size (a MemoryError),
-    raises SpecError.
+    `validate` rejects, or whose run fails on its numbers (a ValueError or
+    ArithmeticError, such as tsvf's QuadratureError) or on its size (a
+    MemoryError), raises SpecError. A headline score that is not finite (an
+    R^2 of samples that all share one value, say) is written as JSON's null.
     """
     errors = validate(spec)
     if errors:
@@ -474,7 +475,7 @@ def run(spec: ExperimentSpec) -> RunSummary:
                 directory.rmdir()
             except OSError:  # not empty: something else writes there too
                 break
-        if isinstance(exc, (ValueError, ArithmeticError, QuadratureError, MemoryError)):
+        if isinstance(exc, (ValueError, ArithmeticError, MemoryError)):
             raise SpecError([f"the run failed: {type(exc).__name__}: {exc}"]) from exc
         raise
     wall = time.perf_counter() - start
@@ -483,7 +484,8 @@ def run(spec: ExperimentSpec) -> RunSummary:
         parameters=params,
         master_seed=spec.master_seed,
         prng=PRNG_ALGORITHM,
-        headline=headline,
+        headline={key: None if isinstance(value, float) and not math.isfinite(value) else value
+                  for key, value in headline.items()},  # JSON has no NaN or infinity
         version=__version__,
         wall_seconds=wall,
         output_dir=str(outdir),

@@ -12,9 +12,8 @@ integrand per round on a row of 21 nodes for each interval any of them waits
 on, and dqk21 on all the rows at once. Its Kronrod sums add left to right along
 each row (`np.add.accumulate`, in dqk21's order; a numpy reduction would round
 differently), so no number depends on WINDOW or on which integrals share a
-round. `qags` is `qags_many` on one integral, whose rounds hold one or two rows:
-callers with many integrals pass them together. Lists are 1-based like
-QUADPACK's arrays (entry 0 is unused) and grow with the intervals.
+round. Lists are 1-based like QUADPACK's arrays (entry 0 is unused) and grow
+with the intervals.
 """
 
 from __future__ import annotations
@@ -171,9 +170,10 @@ def dqelg(n, epstab, res3la, nres):
 
 def _dqagse(a, b, epsabs, epsrel, limit):
     """dqagse as a generator: it yields the list of intervals it needs dqk21 on next,
-    is sent their (result, abserr, resabs, resasc) tuples, and returns what `qags` does."""
+    is sent their (result, abserr, resabs, resasc) tuples, and returns its qags_many entry."""
     if limit < 1 or (epsabs <= 0 and epsrel < max(50 * EPMACH, 5e-29)):
-        raise ValueError("qags needs limit >= 1, and epsrel >= max(50 eps, 5e-29) if epsabs <= 0")
+        raise ValueError("qags_many needs limit >= 1, and epsrel >= max(50 eps, 5e-29) "
+                         "if epsabs <= 0")
     (result, abserr, defabs, resabs), = yield [(a, b)]
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
@@ -281,8 +281,10 @@ def _dqagse(a, b, epsabs, epsrel, limit):
 
 
 def qags_many(f, problems):
-    """dqagse on each (a, b, epsabs, epsrel, limit) of `problems`, in lockstep: a list
-    of (result, abserr, neval, ier), each what `qags` returns for that problem alone.
+    """dqagse on each (a, b, epsabs, epsrel, limit) of `problems`, in lockstep: a list of
+    its integrals of f over [a, b] as (result, abserr, neval, ier). ier is QUADPACK's: 0
+    success, 1 `limit` intervals used, 2 roundoff, 3 bad integrand behaviour, 4 roundoff
+    in the extrapolation, 5 divergence.
 
     Up to WINDOW integrals are in flight; as one finishes, the next problem starts.
     Each round calls f(x, owners) once: x has a row of 21 nodes for each interval an
@@ -307,12 +309,3 @@ def qags_many(f, problems):
                 results[i] = finished.value
             k += len(wanted)
         flight = running
-
-
-def qags(f, a, b, epsabs, epsrel, limit):
-    """dqagse: the integral of f over [a, b], as (result, abserr, neval, ier).
-
-    f maps a float64 array of nodes to the array of its values. ier is QUADPACK's: 0
-    success, 1 `limit` intervals used, 2 roundoff, 3 bad integrand behaviour, 4 roundoff
-    in the extrapolation, 5 divergence."""
-    return qags_many(lambda x, _owners: f(x), [(a, b, epsabs, epsrel, limit)])[0]

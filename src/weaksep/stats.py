@@ -213,7 +213,7 @@ class LaneStreams:
         hi, lo = self.hi[lanes], self.lo[lanes]
         inc_hi, inc_lo = self.inc_hi[lanes], self.inc_lo[lanes]
         out = np.empty((n, hi.size))
-        for start in range(0, hi.size, _CHUNK_LANES):
+        for start in range(0, hi.size if n else 0, _CHUNK_LANES):  # 0 draws move no state
             part = slice(start, start + _CHUNK_LANES)
             his, los = _pcg_states((hi[part], lo[part]), (inc_hi[part], inc_lo[part]), n)
             hi[part], lo[part] = his[-1], los[-1]

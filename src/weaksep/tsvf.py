@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import takewhile
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,7 +41,7 @@ QUAD_RANGE_SIGMAS = 12.0  # density mass beyond 12 sigma is < 1e-30 here
 QUAD_TOL = 1e-10
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError):
     """Raised when the adaptive quadrature cannot reach the requested tolerance."""
 
 
@@ -155,21 +154,19 @@ def quad(f, problems):
     return qags_many(f, problems)
 
 
-def _quadratures(f, lims, scales):
-    """quad of f over each [-lim, lim], at tolerance QUAD_TOL * scale: for each, the
-    (integral, abserr, evaluations, tolerance) that `_checked` reads."""
+def _integrals(f, lims, scales):
+    """quad of f over each [-lim, lim], at tolerance QUAD_TOL * scale: the (integral,
+    evaluations, abserr / tolerance) of each integral before the first that misses its
+    tolerance, and that integral's QuadratureError (None if none misses)."""
     tols = [QUAD_TOL * scale for scale in scales]
     problems = [(-lim, lim, tol * 1e-2, 1e-12, 500) for lim, tol in zip(lims, tols)]
-    return [(value, abserr, neval, tol)
-            for tol, (value, abserr, neval, _) in zip(tols, quad(f, problems))]
-
-
-def _checked(value, abserr, neval, tol):
-    """(integral, integrand evaluations, abserr / tolerance), or the QuadratureError."""
-    if abserr > tol:
-        raise QuadratureError(
-            f"quadrature achieved absolute error {abserr:.3e}, needed {tol:.3e}")
-    return value, neval, abserr / tol
+    passed = []
+    for tol, (value, abserr, neval, _) in zip(tols, quad(f, problems)):
+        if abserr > tol:
+            return passed, QuadratureError(
+                f"quadrature achieved absolute error {abserr:.3e}, needed {tol:.3e}")
+        passed.append((value, neval, abserr / tol))
+    return passed, None
 
 
 def quadrature_moments(setups) -> list[MomentReport]:
@@ -178,30 +175,30 @@ def quadrature_moments(setups) -> list[MomentReport]:
     <X^2> integral in another.
 
     A failure raises the QuadratureError that the setups one at a time would raise
-    first: setup by setup, mass, then <X>, then <X^2>. The moments of setups from the
-    first failed mass on are not integrated."""
+    first: setup by setup, mass, then <X>, then <X^2>. A failed moment precedes the
+    first failed mass, as the moments of setups from that mass on are not integrated."""
     lims = [QUAD_RANGE_SIGMAS * s.sigma for s in setups]
     columns = _columns(setups)
-    masses = _quadratures(lambda x, owners: needle_density(x, columns(owners)), lims,
-                          [1.0 * s.a_plus for s in setups])
-    good = list(takewhile(lambda q: not q[1] > q[3], masses))  # those `_checked` passes
+    masses, mass_error = _integrals(lambda x, owners: needle_density(x, columns(owners)),
+                                    lims, [s.a_plus for s in setups])
 
     def moment(x, owners):  # problem 2i is the <X> of setup i, 2i + 1 its <X^2>
         power = np.where(owners[:, None] % 2 == 1, x * x, x)
         return power * needle_density(x, columns(owners // 2))
 
-    moments = _quadratures(moment, [lim for lim in lims[:len(good)] for _ in (1, 2)],
-                           [scale * value for (value, *_), s in zip(good, setups)
-                            for scale in (s.sigma, s.sigma ** 2)])
+    moments, moment_error = _integrals(
+        moment, [lim for lim in lims[:len(masses)] for _ in (1, 2)],
+        [scale * mass for (mass, *_), s in zip(masses, setups)
+         for scale in (s.sigma, s.sigma ** 2)])
+    if mass_error or moment_error:
+        raise moment_error or mass_error
     reports = []
-    for setup, *integrals in zip(setups, good, moments[0::2], moments[1::2]):
-        (mass, n0, r0), (m1, n1, r1), (m2, n2, r2) = (_checked(*q) for q in integrals)
+    for setup, (mass, n0, r0), (m1, n1, r1), (m2, n2, r2) in zip(
+            setups, masses, moments[0::2], moments[1::2]):
         m1, m2 = m1 / mass, m2 / mass
         reports.append(MomentReport(m1, m2, m2 - m1 * m1, setup.postselect_prob,
                                     setup.postselect_prob * mass, n0 + n1 + n2,
                                     max(r0, r1, r2)))
-    if len(good) < len(masses):
-        _checked(*masses[len(good)])
     return reports
 
 
@@ -230,14 +227,15 @@ def separation_report(eta1: float, eta2: float, g: float, sigma: float) -> Separ
     a1 = analytic_moments(s1)
     a2 = analytic_moments(s2)
     q1, q2 = quadrature_moments([s1, s2])
-    lim = QUAD_RANGE_SIGMAS * sigma
     z1 = q1.acceptance_prob / s1.postselect_prob
     z2 = q2.acceptance_prob / s2.postselect_prob
     # the one integral that runs alone: its integrand needs q1 and q2
-    [q] = _quadratures(lambda x, _owners: np.minimum(needle_density(x, s1) / z1,
-                                                       needle_density(x, s2) / z2),
-                       [lim], [1.0])
-    overlap, n, r = _checked(*q)
+    overlaps, error = _integrals(lambda x, _owners: np.minimum(needle_density(x, s1) / z1,
+                                                               needle_density(x, s2) / z2),
+                                 [QUAD_RANGE_SIGMAS * sigma], [1.0])
+    if error:
+        raise error
+    [(overlap, n, r)] = overlaps
     return SeparationReport(a1, a2, a1.mean - a2.mean, 0.5 * overlap,
                             q1.evaluations + q2.evaluations + n,
                             max(q1.worst_err_ratio, q2.worst_err_ratio, r))

@@ -38,6 +38,19 @@ SRC = str(Path(weaksep.__file__).resolve().parents[1])  # PYTHONPATH for a child
 RUN_ALL_FIGURES = Path(__file__).resolve().parents[1] / "scripts" / "run_all_figures.py"
 
 
+# specs whose every walk takes one step: no spread to score, so each R^2 is undefined
+ONE_STEP_WALKS = [
+    ("fig2", {"sigma": 0.01, "trials": 40}),
+    ("fig3", {"sigma_grid": [0.01, 0.02, 0.03, 0.04], "trials": 40}),
+    ("fig2", {"boundaries": [44.9, 45.1], "trials": 40, "sigma": 2.0}),
+]
+
+
+def strict_json_constant(name):
+    """json's parse_constant hook: NaN, Infinity and -Infinity are not JSON (RFC 8259)."""
+    raise ValueError(f"{name} is not JSON")
+
+
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
@@ -119,6 +132,7 @@ class TestValidate:
          False),
         ("fig3", {"sigma_grid": [2.0, 3.0, 4.0, 5.0], "trials": 40, "start_angle_deg": 0.0},
          False),
+        *[(experiment, parameters, True) for experiment, parameters in ONE_STEP_WALKS],
     ])
     def test_verdict_is_the_runs(self, tmp_path, capsys, experiment, parameters, runs):
         out = tmp_path / "out"
@@ -131,6 +145,12 @@ class TestValidate:
         if not runs:
             assert json.loads(capsys.readouterr().err)["error"] == "invalid experiment spec"
         assert out.exists() == runs
+        if runs:  # strict JSON: a score that is not a number is null, never NaN
+            headline = json.loads((out / "summary.json").read_text(),
+                                  parse_constant=strict_json_constant)["headline"]
+            if (experiment, parameters) in ONE_STEP_WALKS:
+                assert ({key for key, value in headline.items() if value is None}
+                        == {key for key in headline if key.startswith("r_squared")})
 
 
 class TestHelstromTable:

@@ -1,4 +1,4 @@
-"""weaksep.quadpack.qags against scipy.integrate.quad, bit for bit.
+"""weaksep.quadpack.qags_many against scipy.integrate.quad, bit for bit.
 
 scipy runs QUADPACK's dqagse with the integrand called at one float at a
 time; the port calls it on arrays of nodes, a row per interval, for many
@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from oracles import needle_density_float
 from weaksep import quadpack, tsvf
 from weaksep.experiments import default_parameters
-from weaksep.quadpack import qags
+from weaksep.quadpack import qags_many
 from weaksep.tsvf import (QuadratureError, TsvfSetup, optimal_eta, quadrature_moments,
                           separation_report)
 
@@ -37,8 +37,8 @@ def scipy_qags(f, a, b, epsabs, epsrel, limit):
 
 
 def node_by_node(f):
-    """The array integrand of `qags` that calls the float function f at each node."""
-    return lambda xs: np.array([f(x) for x in xs.ravel().tolist()]).reshape(xs.shape)
+    """The (x, owners) integrand of `qags_many` that calls the float function f at each x."""
+    return lambda xs, _owners: np.array([f(x) for x in xs.ravel().tolist()]).reshape(xs.shape)
 
 
 def counted_extrapolations(monkeypatch):
@@ -153,7 +153,7 @@ class TestSingularIntegrands:
     def test_equals_scipy_through_every_ier_and_extrapolation(self, monkeypatch, f, epsabs,
                                                               epsrel, limit, ier):
         extrapolations = counted_extrapolations(monkeypatch)
-        result = qags(node_by_node(f), 0.0, 1.0, epsabs, epsrel, limit)
+        result = qags_many(node_by_node(f), [(0.0, 1.0, epsabs, epsrel, limit)])[0]
         assert result == scipy_qags(f, 0.0, 1.0, epsabs, epsrel, limit)
         assert result[3] == ier
         assert extrapolations  # dqelg ran, so the epsilon table is checked too
@@ -163,7 +163,7 @@ class TestSingularIntegrands:
         def f(x):
             return 3.0 * x * x
 
-        result = qags(node_by_node(f), 0.0, 2.0, 1.49e-8, 1.49e-8, 50)
+        result = qags_many(node_by_node(f), [(0.0, 2.0, 1.49e-8, 1.49e-8, 50)])[0]
         assert result == scipy_qags(f, 0.0, 2.0, 1.49e-8, 1.49e-8, 50)
         assert result[2:] == (21, 0)
 
@@ -172,4 +172,4 @@ class TestSingularIntegrands:
         with pytest.raises(ValueError):
             scipy_qags(math.sin, 0.0, 1.0, epsabs, epsrel, limit)
         with pytest.raises(ValueError):
-            qags(node_by_node(math.sin), 0.0, 1.0, epsabs, epsrel, limit)
+            qags_many(node_by_node(math.sin), [(0.0, 1.0, epsabs, epsrel, limit)])

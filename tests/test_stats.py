@@ -87,6 +87,7 @@ class TestLaneStreams:
     def test_no_lanes(self):
         streams = LaneStreams(5, (1,), np.arange(4))
         assert streams.random(np.empty(0, dtype=np.intp), 3).shape == (0, 3)
+        assert streams.random(slice(None), 0).shape == (4, 0)  # as Generator.random(0)
         assert np.array_equal(streams.random(slice(None), 2),
                               [derive_generator(5, 1, i).random(2) for i in range(4)])
 

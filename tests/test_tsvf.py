@@ -13,6 +13,7 @@ from oracles import (EQUAL_SUPERPOSITION, PAULI_Y, PAULI_Z, derive_generator,
 from weaksep import tsvf
 from weaksep.qubit import QubitState
 from weaksep.tsvf import (
+    QuadratureError,
     TsvfSetup,
     analytic_moments,
     needle_density,
@@ -359,6 +360,14 @@ class TestSeparationReport:
         report = separation_report(0.4, 2.0, 0.0, 2.0)
         assert report.mean_gap == pytest.approx(0.0, abs=1e-15)
         assert report.bayes_error == pytest.approx(0.5, abs=1e-6)
+
+    def test_an_overlap_past_its_tolerance_raises_an_arithmetic_error(self):
+        # strong coupling: both setups' moments pass, the overlap integral misses
+        with pytest.raises(QuadratureError) as failed:
+            separation_report(optimal_eta(2.0, 1.0)[0], 2.0, 2.0, 1.0)
+        assert isinstance(failed.value, ArithmeticError)
+        assert str(failed.value) == ("quadrature achieved absolute error 3.162e-09, "
+                                     "needed 1.000e-10")
 
     def test_reference_demo_numbers(self):
         g, sigma = 0.05, 2.0
