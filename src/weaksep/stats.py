@@ -14,6 +14,7 @@ SeedSequence hashes the seed and path all lanes share; the index words and
 PCG64 (O'Neill 2014) are written over uint64 arrays. Lane i of
 ``LaneStreams(seed, path, indices)`` yields the doubles of a Generator on
 ``PCG64(SeedSequence(seed, spawn_key=(*path, indices[i])))``, bit for bit.
+A draw steps all the lanes it asks for at once and writes one row per uniform.
 
 Gaussian variates are produced by the inverse-CDF transform of the uniform
 stream (one uniform double per variate, mapped through ndtri), never by
@@ -110,32 +111,10 @@ def _muladd128(a, b, c, out, scratch):
     hi += v
 
 
-def _scratch(shape):
-    return [np.empty(shape, dtype=np.uint64) for _ in range(3)]
-
-
-def _pcg_uniforms(hi, lo, out):
-    """Write to the float64 array `out` the doubles numpy's Generator.random
-    makes of PCG64 states (hi, lo), the top 53 bits of the XSL-RR output.
-    Overwrites hi and lo; out's memory holds the integer bits on the way."""
-    bits = out.view(np.uint64)
-    lo ^= hi
-    hi >>= np.uint64(58)  # rotate right by the top 6 bits of the state
-    np.right_shift(lo, hi, out=bits)
-    np.subtract(np.uint64(64), hi, out=hi)
-    hi &= np.uint64(63)
-    lo <<= hi
-    bits |= lo
-    bits >>= np.uint64(11)
-    np.multiply(bits, 1.0 / 9007199254740992.0, out=out)
-
-
 # A lane's next n states come in runs of LCG steps, each run started by a
-# jump s_j = A_j s_0 + C_j inc. Lanes are drawn _CHUNK_LANES at a time, so that
-# temporaries stay in cache, and fewer lanes get more, shorter runs, so that
-# each ufunc call still covers about _CALL_WIDTH states.
+# jump s_j = A_j s_0 + C_j inc. Fewer lanes get more, shorter runs, so that each
+# ufunc call still covers about _CALL_WIDTH states.
 _CALL_WIDTH = 8192
-_CHUNK_LANES = 1024
 _MAX_JUMP = 64  # a draw of more states per lane runs the LCG one step at a time
 
 
@@ -152,23 +131,38 @@ def _jump_table(n: int):
 _JUMPS = _jump_table(_MAX_JUMP)
 
 
-def _pcg_states(state, inc, n: int):
-    """States s_1..s_n of lanes whose state is s_0, one row per draw."""
-    width = state[0].size
+def _pcg_draw(state, inc, out):
+    """Fill the float64 array `out`, one row per draw and one column per lane, with
+    the doubles numpy's Generator.random makes of PCG64 states s_1..s_n of lanes
+    whose state is s_0: the top 53 bits of each state's XSL-RR output. Returns s_n.
+
+    Run r starts at s_(r steps + 1); all runs take each LCG step at once on
+    (runs, lanes) arrays, and step i's doubles go to rows i, i + steps, ... of out.
+    The output is worked out in scratch, so the states carry on to the next step.
+    """
+    n, width = out.shape
     runs = 1 if n > _MAX_JUMP else min(n, -(-_CALL_WIDTH // width))
     steps = -(-n // runs)
     runs = -(-n // steps)
-    # his[r, i], los[r, i]: state s_(r steps + i + 1) of every lane
-    his = np.empty((runs, steps, width), dtype=np.uint64)
-    los = np.empty_like(his)
     a_hi, a_lo, c_hi, c_lo = _JUMPS[:, 0:runs * steps:steps]
-    scratch = _scratch((runs, width))
-    first = his[:, 0], los[:, 0]
-    _muladd128(inc, (c_hi, c_lo), _ZERO, first, scratch)
-    _muladd128(state, (a_hi, a_lo), first, first, scratch)
-    for i in range(1, steps):
-        _muladd128((his[:, i - 1], los[:, i - 1]), _MULT, inc, (his[:, i], los[:, i]), scratch)
-    return his.reshape(-1, width)[:n], los.reshape(-1, width)[:n]
+    hi, lo, *scratch = (np.empty((runs, width), dtype=np.uint64) for _ in range(5))
+    _muladd128(inc, (c_hi, c_lo), _ZERO, (hi, lo), scratch)
+    _muladd128(state, (a_hi, a_lo), (hi, lo), (hi, lo), scratch)
+    for i in range(steps):
+        rows = out[i::steps]  # the last run may stop a step or more early
+        s_hi, s_lo, t, u, v = (x[:len(rows)] for x in (hi, lo, *scratch))
+        if i:
+            _muladd128((s_hi, s_lo), _MULT, inc, (s_hi, s_lo), (t, u, v))
+        np.bitwise_xor(s_hi, s_lo, out=t)
+        np.right_shift(s_hi, np.uint64(58), out=u)  # rotate right by the top 6 bits
+        np.right_shift(t, u, out=v)
+        np.subtract(np.uint64(64), u, out=u)
+        u &= np.uint64(63)
+        t <<= u
+        v |= t
+        v >>= np.uint64(11)
+        np.multiply(v, 1.0 / 9007199254740992.0, out=rows)
+    return hi[-1], lo[-1]
 
 
 class LaneStreams:
@@ -204,21 +198,18 @@ class LaneStreams:
         inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
         lo = inc_lo + seed_lo
         hi = inc_hi + seed_hi + (lo < seed_lo)
-        _muladd128((hi, lo), _MULT, (inc_hi, inc_lo), (hi, lo), _scratch(index.shape))
+        _muladd128((hi, lo), _MULT, (inc_hi, inc_lo), (hi, lo),
+                   [np.empty_like(index) for _ in range(3)])
         self.hi, self.lo, self.inc_hi, self.inc_lo = hi, lo, inc_hi, inc_lo
 
     def random(self, lanes, n: int) -> np.ndarray:
         """The next n uniforms of each lane in `lanes` (an index array or a
         slice), one row per lane, as each lane's ``Generator.random(n)``."""
-        hi, lo = self.hi[lanes], self.lo[lanes]
-        inc_hi, inc_lo = self.inc_hi[lanes], self.inc_lo[lanes]
-        out = np.empty((n, hi.size))
-        for start in range(0, hi.size if n else 0, _CHUNK_LANES):  # 0 draws move no state
-            part = slice(start, start + _CHUNK_LANES)
-            his, los = _pcg_states((hi[part], lo[part]), (inc_hi[part], inc_lo[part]), n)
-            hi[part], lo[part] = his[-1], los[-1]
-            _pcg_uniforms(his, los, out[:, part])
-        self.hi[lanes], self.lo[lanes] = hi, lo
+        state = self.hi[lanes], self.lo[lanes]
+        out = np.empty((n, state[0].size))
+        if out.size:  # 0 draws move no state
+            self.hi[lanes], self.lo[lanes] = _pcg_draw(
+                state, (self.inc_hi[lanes], self.inc_lo[lanes]), out)
         return out.T
 
 

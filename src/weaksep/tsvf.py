@@ -60,8 +60,9 @@ class TsvfSetup:
             )
         if self.g < 0:
             raise ValueError(f"g must be nonnegative, got {self.g}")
-        if not (self.sigma > 0 and self.sigma * self.sigma > 0):
-            raise ValueError(f"sigma must be positive, with a nonzero square; got {self.sigma}")
+        if not (self.sigma > 0 and self.sigma * self.sigma > 0 and self.g * self.sigma < math.inf):
+            raise ValueError(f"sigma must be positive, with a nonzero square and a finite "
+                             f"g * sigma; got g={self.g}, sigma={self.sigma}")
 
     @cached_property
     def b(self) -> float:
@@ -103,8 +104,9 @@ def optimal_eta(g: float, sigma: float) -> tuple[float, float]:
     The maximum sits at cos(eta) = exp(-2 (g sigma)^2) and equals
     2 g sigma^2 / sqrt(exp(4 (g sigma)^2) - 1).
     """
-    if g * sigma <= 0:
-        raise ValueError("g * sigma must be positive; the deflection is identically 0")
+    if not 0 < g * sigma < math.inf:
+        raise ValueError(f"g * sigma must be positive (at 0 the deflection is identically 0) "
+                         f"and finite; got {g} * {sigma}")
     gs2 = (g * sigma) ** 2
     eta_star = math.acos(math.exp(-2.0 * gs2))
     mean_max = 2.0 * g * sigma ** 2 / math.sqrt(math.exp(4.0 * gs2) - 1.0)
@@ -162,7 +164,7 @@ def _integrals(f, lims, scales):
     problems = [(-lim, lim, tol * 1e-2, 1e-12, 500) for lim, tol in zip(lims, tols)]
     passed = []
     for tol, (value, abserr, neval, _) in zip(tols, quad(f, problems)):
-        if abserr > tol:
+        if not abserr <= tol:  # a NaN abserr misses too
             return passed, QuadratureError(
                 f"quadrature achieved absolute error {abserr:.3e}, needed {tol:.3e}")
         passed.append((value, neval, abserr / tol))

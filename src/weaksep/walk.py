@@ -64,21 +64,22 @@ class PointerModel:
     g: float = 1.0
 
     def __post_init__(self):
-        # where g > 0, the log-odds step 2 g x / sigma^2 needs a sigma^2 that is not 0
-        if not (self.sigma > 0 and (self.g == 0 or self.sigma * self.sigma > 0)):
-            raise ValueError(f"sigma must be positive, with a nonzero square where g > 0; "
-                             f"got {self.sigma}")
+        # a finite sigma^2 keeps readings finite; the step 2 g x / sigma^2 needs a nonzero one
+        sig2 = self.sigma * self.sigma
+        if not (self.sigma > 0 and math.isfinite(sig2) and (self.g == 0 or sig2 > 0)):
+            raise ValueError(f"sigma must be positive, with a finite square, nonzero where "
+                             f"g > 0; got {self.sigma}")
         if self.g < 0:
             raise ValueError(f"g must be nonnegative, got {self.g}")
 
 
 def _log_odds_of_angle(a_deg: float) -> float:
-    """L = ln(alpha^2/beta^2) of the state at angle a; +inf at 0, -inf at 90."""
-    if a_deg <= 0.0:
-        return math.inf
+    """L = ln(alpha^2/beta^2) of the state at angle a; +inf at 0 and where tan a
+    underflows to 0, -inf at 90 (tan stays finite below it)."""
     if a_deg >= 90.0:
         return -math.inf
-    return -2.0 * math.log(math.tan(math.radians(a_deg)))
+    tan = math.tan(math.radians(a_deg)) if a_deg > 0.0 else 0.0
+    return math.inf if tan == 0.0 else -2.0 * math.log(tan)
 
 
 @dataclass(frozen=True)
@@ -171,12 +172,15 @@ def _lockstep(L, pm: PointerModel, wb: WalkBoundaries | None, max_steps: int,
 
     A lane stops after the reading whose updated log-odds crosses a boundary
     of wb, or after max_steps readings; wb=None means no boundary, so every
-    lane takes exactly max_steps readings. L is updated in place. After each
-    step t this yields (t, lanes, x, crossed): the lanes that took the step
-    (an index array into L, or slice(None) for all of them), their readings,
-    and the indices of the lanes that crossed a boundary on it. The walking
-    lanes are `lanes`, with `rows` their rows in the current block; a crossing
-    drops its lanes from both. A walk of zero lanes takes no step.
+    lane takes exactly max_steps readings. After each step t this yields
+    (t, lanes, x, crossed): the lanes that took the step (an index array into
+    L, or slice(None) for all of them), their readings, and the indices of the
+    lanes that crossed a boundary on it. The walking lanes are `lanes`, with
+    `rows` their columns in the block's rows of uniforms and `L_lanes` their
+    log-odds; a crossing drops its lanes from all three. L is updated in place,
+    a crossing lane's entry after its step is yielded and the rest at a block's
+    end, so it is current whenever the walk returns. A walk of zero lanes takes
+    no step.
     """
     sig2 = pm.sigma * pm.sigma
     if wb is not None:
@@ -186,23 +190,24 @@ def _lockstep(L, pm: PointerModel, wb: WalkBoundaries | None, max_steps: int,
     t = 0
     while L.size and t < max_steps:
         k = min(_BLOCK_STEPS, max_steps - t)
-        block = streams.random(lanes, 2 * k)
+        draws = streams.random(lanes, 2 * k).T
         rows = slice(None) if wb is None else np.arange(lanes.size)
+        L_lanes = L[lanes]
         for i in range(k):
             t += 1
-            L_lanes = L[lanes]
-            shift = np.where(block[rows, 2 * i] < expit(L_lanes), pm.g, -pm.g)
-            x = shift + pm.sigma * ndtri(np.maximum(block[rows, 2 * i + 1], _MIN_UNIFORM))
+            shift = np.where(draws[2 * i][rows] < expit(L_lanes), pm.g, -pm.g)
+            x = shift + pm.sigma * ndtri(np.maximum(draws[2 * i + 1][rows], _MIN_UNIFORM))
             L_lanes = L_lanes + (2.0 * pm.g * x) / sig2
-            L[lanes] = L_lanes
             if wb is not None:
                 done = (L_lanes >= l_zero) | (L_lanes <= l_one)
                 crossed = lanes[done]
             yield t, lanes, x, crossed
             if crossed.size:
-                rows, lanes = rows[~done], lanes[~done]
+                L[crossed] = L_lanes[done]
+                rows, lanes, L_lanes = rows[~done], lanes[~done], L_lanes[~done]
                 if not lanes.size:
                     return
+        L[lanes] = L_lanes
 
 
 _MIN_WORKER_LANES = 1024  # a worker's fewest lanes; a pool takes about 4 ms to start and end

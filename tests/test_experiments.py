@@ -133,6 +133,11 @@ class TestValidate:
         ("fig3", {"sigma_grid": [2.0, 3.0, 4.0, 5.0], "trials": 40, "start_angle_deg": 0.0},
          False),
         *[(experiment, parameters, True) for experiment, parameters in ONE_STEP_WALKS],
+        # tan(5e-324 degrees) underflows to 0: the boundary is the |0> axis; a sigma
+        # whose square overflows; and a g * sigma that overflows
+        ("fig2", {"boundaries": [5e-324, 80.0], "trials": 100, "sigma": 2.0}, True),
+        ("fig6", {"sigma": 1.7e308, "trials": 1000, "m_values": [5]}, False),
+        ("tsvf-separation", {"g": 1.7e308}, False),
     ])
     def test_verdict_is_the_runs(self, tmp_path, capsys, experiment, parameters, runs):
         out = tmp_path / "out"
@@ -637,6 +642,11 @@ class TestCli:
         ("fig2", {"sigma": 1e-300, "trials": 40}),
         ("fig3", {"sigma_grid": [1e-300, 2e-300, 3e-300, 4e-300]}),
         ("fig3", {"sigma_grid": [2.0, 3.0, 4.0, 5.0], "trials": 40, "start_angle_deg": 0.0}),
+        # a boundary at 5e-324 degrees, on the |0> axis as at 0, leaves 22 collapsed
+        # walks, too few to fit; a sigma whose square overflows; a g * sigma that does
+        ("fig2", {"boundaries": [5e-324, 80.0], "trials": 40}),
+        ("fig6", {"sigma": 1.7e308, "trials": 1000, "m_values": [5]}),
+        ("tsvf-separation", {"g": 1.7e308}),
     ])
     def test_failing_runs_give_json_error_and_exit_2(self, tmp_path, capsys, experiment,
                                                      parameters):

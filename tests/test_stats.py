@@ -39,8 +39,8 @@ class TestStreams:
 WIDE = st.integers(2**64, 2**256)
 SEED = st.one_of(st.integers(0, 2**64 - 1), WIDE)
 PATH_ENTRY = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), WIDE)
-# subset sizes: one jump per draw for few lanes, runs of LCG steps for many,
-# and more than one chunk of lanes for the most
+# subset sizes: one jump per draw for few lanes, and fewer, longer runs of LCG
+# steps for more
 SUBSET_SIZES = st.sampled_from([1, 2, 9, 60, 300, 1100, 1300])
 
 
@@ -76,6 +76,18 @@ class TestLaneStreams:
         for k in (1, 100, 64):  # more than one jump table's worth, then a block
             assert np.array_equal(streams.random(slice(None), k),
                                   [g.random(k) for g in gens])
+
+    @pytest.mark.parametrize("width", [8193, 16384])
+    def test_wide_draws(self, width):
+        # _CALL_WIDTH lanes or more draw in one run of LCG steps; the odd lanes of 8,193
+        # draw 7 and 63 in two runs, the second a step short
+        streams = LaneStreams(21, (3,), np.arange(width))
+        gens = [derive_generator(21, 3, i) for i in range(width)]
+        odd = np.arange(1, width, 2)
+        for k in (1, 7, 63, 64, 65, 100):
+            for lanes in (odd, slice(None)):
+                want = np.array([gens[j].random(k) for j in np.arange(width)[lanes]])
+                assert np.array_equal(streams.random(lanes, k), want)
 
     def test_negative_seed_or_path_rejected_as_numpy_does(self):
         for seed, path in ((-1, ()), (3, (2, -5))):

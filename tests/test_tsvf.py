@@ -55,6 +55,11 @@ class TestSetup:
             TsvfSetup(1.0, -0.1, 1.0)
         with pytest.raises(ValueError):
             TsvfSetup(1.0, 0.1, 0.0)
+        for g, sigma in ((1.7e308, 2.0), (1.0, math.inf)):  # g * sigma overflows
+            with pytest.raises(ValueError):
+                TsvfSetup(1.0, g, sigma)
+            with pytest.raises(ValueError):
+                optimal_eta(g, sigma)
 
     def test_derived_quantities(self):
         s = TsvfSetup(math.pi / 2, 0.1, 2.0)
@@ -368,6 +373,10 @@ class TestSeparationReport:
         assert isinstance(failed.value, ArithmeticError)
         assert str(failed.value) == ("quadrature achieved absolute error 3.162e-09, "
                                      "needed 1.000e-10")
+
+    def test_a_nan_error_estimate_misses_its_tolerance(self):
+        passed, failed = tsvf._integrals(lambda x, owners: np.full_like(x, np.nan), [1.0], [1.0])
+        assert passed == [] and isinstance(failed, QuadratureError)
 
     def test_reference_demo_numbers(self):
         g, sigma = 0.05, 2.0

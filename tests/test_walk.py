@@ -28,6 +28,9 @@ def test_pointer_model_validation():
         PointerModel(0.0)
     with pytest.raises(ValueError):
         PointerModel(2.0, g=-1.0)
+    for sigma in (1.7e308, math.inf):  # sigma^2 overflows
+        with pytest.raises(ValueError):
+            PointerModel(sigma)
 
 
 def test_boundaries_validation():
@@ -38,6 +41,7 @@ def test_boundaries_validation():
     wb = WalkBoundaries(10.0, 80.0)
     assert wb.log_odds_zero == pytest.approx(-wb.log_odds_one, abs=1e-12)
     assert WalkBoundaries(0.0, 90.0).log_odds_zero == math.inf
+    assert WalkBoundaries(5e-324, 80.0).log_odds_zero == math.inf  # tan underflows to 0
     assert WalkBoundaries(0.0, 90.0).log_odds_one == -math.inf
 
 
@@ -292,6 +296,23 @@ def test_lockstep_log_odds_are_the_oracle_steps():
             x = reading_from_uniforms(expit(want), u[2 * t], u[2 * t + 1], pm.g, pm.sigma)
             want = want + (2.0 * pm.g * x) / (pm.sigma * pm.sigma)
         assert L[i] == want
+
+
+def test_lockstep_leaves_every_lane_its_last_log_odds():
+    # lanes cross in the middle of the first and of the second block of uniforms (steps
+    # 1-32 and 33-50), and the rest stop at the cap: L ends as the sum of the yielded
+    # readings' log-odds steps from L0, bit for bit, on crossing lanes as on the rest
+    pm, wb, cap = PointerModel(3.0, g=0.7), WalkBoundaries(10.0, 80.0), 50
+    L = np.full(400, state_log_odds(state_from_angle(40.0)))
+    acc = L.copy()
+    steps = np.full(L.size, cap)
+    streams = LaneStreams(23, (4,), np.arange(L.size))
+    for t, lanes, x, crossed in _lockstep(L, pm, wb, cap, streams):
+        acc[lanes] = acc[lanes] + (2.0 * pm.g * x) / (pm.sigma * pm.sigma)
+        steps[crossed] = t
+    assert np.array_equal(L, acc)
+    assert np.any(steps < 32) and np.any((32 < steps) & (steps < cap))
+    assert np.any(steps == cap)
 
 
 class TestRunEnsemble:
