@@ -163,15 +163,16 @@ def _run_fig2(params, master_seed, outdir, files) -> dict:
     wb = WalkBoundaries(*params["boundaries"])
     s0 = state_from_angle(params["start_angle_deg"])
     trials = params["trials"]
-    ens = run_ensemble(s0, pm, wb, trials, master_seed, params["max_steps"])
+    ens = run_ensemble([(s0, pm, ())], wb, trials, master_seed, params["max_steps"])
+    steps, labels = ens.steps[0], ens.labels[0]
     names = np.array([outcome.name.lower() for outcome in Outcome])
     _write_csv(outdir / "fig2_steps.csv", ["trial", "steps", "label"],
-               [(np.arange(trials), ens.steps, names[ens.labels])], files)
-    collapsed = ens.steps[ens.labels != Outcome.MAXED_OUT]
+               [(np.arange(trials), steps, names[labels])], files)
+    collapsed = steps[labels != Outcome.MAXED_OUT]
     fit = fit_lognormal(collapsed)
     if params["dump_trajectories"]:
         _write_csv(outdir / "fig2_trajectories.csv", _TRAJECTORY_HEADER,
-                   _trajectory_rows(s0, pm, wb, ens.steps, master_seed), files)
+                   _trajectory_rows(s0, pm, wb, steps, master_seed), files)
     return {
         "mu_tilde": fit.mu_tilde,
         "sigma_tilde": fit.sigma_tilde,
@@ -187,18 +188,18 @@ def _run_fig3(params, master_seed, outdir, files) -> dict:
     wb = WalkBoundaries(*params["boundaries"])
     s0 = state_from_angle(params["start_angle_deg"])
     trials = params["trials"]
+    pms = [PointerModel(sigma) for sigma in params["sigma_grid"]]
+    ens = run_ensemble([(s0, pm, (k,)) for k, pm in enumerate(pms)], wb, trials, master_seed,
+                       params["max_steps"])
     rows = []
-    for k, sigma in enumerate(params["sigma_grid"]):
-        pm = PointerModel(sigma)
-        ens = run_ensemble(s0, pm, wb, trials, master_seed,
-                           params["max_steps"], seed_path=(k,))
-        collapsed = ens.steps[ens.labels != Outcome.MAXED_OUT]
+    for k, (pm, steps, labels) in enumerate(zip(pms, ens.steps, ens.labels)):
+        collapsed = steps[labels != Outcome.MAXED_OUT]
         if not collapsed.size:
-            raise ValueError(f"no walk collapsed within max_steps at sigma {sigma}")
-        rows.append((sigma, float(np.median(collapsed)), float(np.mean(collapsed)), trials))
+            raise ValueError(f"no walk collapsed within max_steps at sigma {pm.sigma}")
+        rows.append((pm.sigma, float(np.median(collapsed)), float(np.mean(collapsed)), trials))
         if params["dump_trajectories"]:
-            _write_csv(outdir / f"fig3_trajectories_sigma{sigma:g}.csv", _TRAJECTORY_HEADER,
-                       _trajectory_rows(s0, pm, wb, ens.steps, master_seed, (k,)), files)
+            _write_csv(outdir / f"fig3_trajectories_sigma{pm.sigma:g}.csv", _TRAJECTORY_HEADER,
+                       _trajectory_rows(s0, pm, wb, steps, master_seed, (k,)), files)
     columns = tuple(zip(*rows))
     _write_csv(outdir / "fig3_medians.csv",
                ["sigma", "median_steps", "mean_steps", "trials"], [columns], files)
@@ -217,11 +218,9 @@ def _run_fig4(params, master_seed, outdir, files) -> dict:
     pm, wb = PointerModel(params["sigma"]), WalkBoundaries(*params["boundaries"])
     trials = params["trials"]
     thetas = np.asarray(params["theta_grid"], dtype=float)
-    wins = []
-    for k, theta in enumerate(thetas):
-        psi1, _ = make_discrimination_pair(theta)
-        ens = run_ensemble(psi1, pm, wb, trials, master_seed, params["max_steps"], (k,))
-        wins.append(int(np.count_nonzero(ens.labels == Outcome.ONE)))
+    points = [(make_discrimination_pair(theta)[0], pm, (k,)) for k, theta in enumerate(thetas)]
+    ens = run_ensemble(points, wb, trials, master_seed, params["max_steps"])
+    wins = np.count_nonzero(ens.labels == Outcome.ONE, axis=1).tolist()
     curve = success_curve(thetas, wins, trials)
     _write_success_curve(outdir / "fig4_success.csv", curve, files)
     return {"worst_margin_vs_helstrom": float(np.min(curve.success - curve.helstrom))}
@@ -452,9 +451,10 @@ def run(spec: ExperimentSpec) -> RunSummary:
     Partial outputs are removed if the run fails or is interrupted, and so
     are the directories the run created, while they are empty. A spec that
     `validate` rejects, or whose run fails on its numbers (a ValueError or
-    ArithmeticError, such as tsvf's QuadratureError) or on its size (a
-    MemoryError), raises SpecError. A headline score that is not finite (an
-    R^2 of samples that all share one value, say) is written as JSON's null.
+    ArithmeticError, such as tsvf's QuadratureError), on its size (a
+    MemoryError) or on a walk worker's death (a ChildProcessError), raises
+    SpecError. A headline score that is not finite (an R^2 of samples that
+    all share one value, say) is written as JSON's null.
     """
     errors = validate(spec)
     if errors:
@@ -475,7 +475,7 @@ def run(spec: ExperimentSpec) -> RunSummary:
                 directory.rmdir()
             except OSError:  # not empty: something else writes there too
                 break
-        if isinstance(exc, (ValueError, ArithmeticError, MemoryError)):
+        if isinstance(exc, (ValueError, ArithmeticError, MemoryError, ChildProcessError)):
             raise SpecError([f"the run failed: {type(exc).__name__}: {exc}"]) from exc
         raise
     wall = time.perf_counter() - start

@@ -34,11 +34,13 @@ Lane i walks on lane i of a `stats.LaneStreams`, the stream
 a trial is a pure function of (master_seed, seed_path, index). The tests hold
 it bit for bit to a scalar walk that takes its own steps on that stream.
 
-`run_ensemble` walks its lanes in equal contiguous slices of at most
-`_MAX_SLICE_LANES`, which bounds the kernel's memory, on one forked worker
-per CPU of the affinity mask with at least `_MIN_WORKER_LANES` lanes each,
-and joins them in lane order, so no result depends on the worker count. With
-one worker, in a daemonic process or beside other threads it walks them in turn.
+`run_ensemble` walks every grid point of a run in one call, in equal slices of
+at most `_MAX_SLICE_LANES` lanes (which bounds the kernel's memory), longest
+first, on one forked worker per CPU of the affinity mask with at least
+`_MIN_WORKER_LANES` lanes each. Slice indices go out on one pipe, and each
+worker writes its results on a pipe of its own for the parent to copy into
+place, so no result depends on the worker count; a worker that dies raises
+ChildProcessError. With one worker or beside other threads it walks in turn.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ from __future__ import annotations
 import enum
 import math
 import os
+import select
 import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +158,7 @@ def _back_action(alpha: float, beta: float, x0: float, g: float,
 
 @dataclass
 class WalkEnsemble:
-    """Order-insensitive aggregate of independent walk trials."""
+    """Independent walk trials: row p of `steps` and `labels` holds point p's."""
 
     steps: np.ndarray
     labels: np.ndarray
@@ -210,7 +214,7 @@ def _lockstep(L, pm: PointerModel, wb: WalkBoundaries | None, max_steps: int,
         L[lanes] = L_lanes
 
 
-_MIN_WORKER_LANES = 1024  # a worker's fewest lanes; a pool takes about 4 ms to start and end
+_MIN_WORKER_LANES = 1024  # a worker's fewest lanes; forking and reaping a worker costs about 3 ms
 _MAX_SLICE_LANES = 1 << 14  # a slice's most lanes, about 13 MB of kernel state
 _STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
@@ -228,66 +232,111 @@ def _walk_slice(L0, pm, wb, max_steps, master_seed, seed_path, start, stop):
     return steps, labels.astype(np.int8)
 
 
-def _start_pool_worker():
-    # pool.terminate() ends a worker with SIGTERM; Ctrl-C is for the parent to handle
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
+def _serve(jobs, job_r, result_w, others):
+    """A worker, which never returns: walk each job indexed on job_r, answer on result_w."""
+    try:
+        # SIGTERM ends a worker; Ctrl-C is for the parent to handle
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
+        for fd in others:
+            os.close(fd)
+        with open(result_w, "wb") as out:
+            while head := os.read(job_r, 4):  # a whole index: each went in by one write
+                *_, args, start, stop = jobs[int.from_bytes(head, "little")]
+                out.write(b"".join([head, *(a.tobytes() for a in _walk_slice(*args, start, stop))]))
+                out.flush()
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _read(fd, n, pids):
+    """n bytes from the result pipe fd of worker pids[fd], which has died if it ends first."""
+    data = b""
+    while len(data) < n:
+        if not (chunk := os.read(fd, n - len(data))):
+            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(fd), 0)[1])
+            os.close(fd)
+            raise ChildProcessError(f"a walk worker was killed by {signal.Signals(-code).name}"
+                                    if code < 0 else f"a walk worker exited with status {code}")
+        data += chunk
+    return data
 
 
 def run_ensemble(
-    s0: QubitState,
-    pm: PointerModel,
+    points: list[tuple[QubitState, PointerModel, tuple[int, ...]]],
     wb: WalkBoundaries,
     trials: int,
     master_seed: int,
     max_steps: int | None = None,
-    seed_path: tuple[int, ...] = (),
 ) -> WalkEnsemble:
-    """Run `trials` independent walks on derived per-trial streams.
+    """Run `trials` independent walks from each point (s0, pm, seed_path) of `points`.
 
-    Trial i consumes only the stream derived from (master_seed, *seed_path, i),
-    so its outcome does not depend on the other trials; trials are advanced
-    in lockstep, and in slices on worker processes, purely for speed. seed_path
-    namespaces ensembles that share one master seed (e.g. grid points of a curve).
+    Row p of the result holds point p's walks; max_steps=None caps each point
+    at its `default_max_steps`. Trial i of a point consumes only the stream of
+    (master_seed, *seed_path, i), so its outcome depends on no other trial or
+    point. Each point goes in the fewest equal slices that hold at most one
+    worker's share of the expected steps; a dead worker raises ChildProcessError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if max_steps is None:
-        max_steps = default_max_steps(pm)
-    if max_steps < 1:
+    if max_steps is not None and max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-
-    crossed = wb.start_outcome(s0)
-    if crossed is not None:
-        return WalkEnsemble(np.zeros(trials, dtype=np.int64),
-                            np.full(trials, int(crossed), dtype=np.int8))
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = max(1, min(cpus, trials // _MIN_WORKER_LANES))
-    if workers > 1:
-        import multiprocessing  # here, so that importing weaksep does not load it
-        import threading
-        if multiprocessing.current_process().daemon or threading.active_count() > 1:
-            workers = 1  # a daemon may have no children, and fork is unsafe with threads
     # the outputs first, so that a trial count too large to hold fails at once
-    steps, labels = np.empty(trials, dtype=np.int64), np.empty(trials, dtype=np.int8)
-    n = workers * -(-trials // (workers * _MAX_SLICE_LANES))  # slices, whole rounds of them
-    jobs = [(state_log_odds(s0), pm, wb, max_steps, master_seed, seed_path,
-             trials * k // n, trials * (k + 1) // n) for k in range(n)]
-    if workers == 1:
-        results = (_walk_slice(*job) for job in jobs)  # each slice freed once copied
-    else:
-        # the pool starts and ends with the stop signals blocked: a worker gets them
-        # once _start_pool_worker has set its handlers, and no signal cuts terminate() short
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
-        try:
-            with multiprocessing.get_context("fork").Pool(workers, _start_pool_worker) as pool:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                results = pool.starmap(_walk_slice, jobs, chunksize=1)
-                signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    for (*_, start, stop), part in zip(jobs, results):
-        steps[start:stop], labels[start:stop] = part
+    steps = np.zeros((len(points), trials), dtype=np.int64)
+    labels = np.empty((len(points), trials), dtype=np.int8)
+    walks = []  # (expected steps per lane, point, _walk_slice's arguments but the lanes)
+    for p, (s0, pm, seed_path) in enumerate(points):
+        cap = default_max_steps(pm) if max_steps is None else max_steps
+        if (crossed := wb.start_outcome(s0)) is not None:
+            labels[p] = crossed  # no step
+        else:  # at fixed boundaries and start, the mean collapse time grows as sigma^2
+            walks.append((min(cap, max(1.0, pm.sigma * pm.sigma)), p,
+                          (state_log_odds(s0), pm, wb, cap, master_seed, seed_path)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = max(1, min(cpus, trials * len(walks) // _MIN_WORKER_LANES))
+    total = sum(w for w, _, _ in walks)
+    jobs = []  # (expected steps per slice lane, point, arguments, first lane, lane after the last)
+    for w, p, args in walks:  # the fewest slices of a slice's lanes and a worker's share of steps
+        n = max(-(-trials // _MAX_SLICE_LANES), math.ceil(workers * w / total))
+        jobs += [(w / n, p, args, trials * k // n, trials * (k + 1) // n) for k in range(n)]
+    jobs.sort(key=lambda job: -job[0])  # longest first; stable, so in grid order at a tie
+    workers = min(workers, len(jobs))
+    if workers < 2 or threading.active_count() > 1:  # fork is unsafe with threads
+        for _, p, args, start, stop in jobs:  # each slice freed once copied
+            steps[p, start:stop], labels[p, start:stop] = _walk_slice(*args, start, stop)
+        return WalkEnsemble(steps, labels)
+    # the workers fork with the stop signals blocked: a worker gets them once _serve
+    # has set its handlers, and no signal cuts the reaping short
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+    job_r, job_w = os.pipe()
+    pids, sent, left = {}, 0, len(jobs)  # pids: a worker's result pipe -> its pid
+    try:
+        for _ in range(workers):
+            result_r, result_w = os.pipe()
+            if (pid := os.fork()) == 0:
+                _serve(jobs, job_r, result_w, (job_w, result_r, *pids))
+            os.close(result_w)
+            pids[result_r] = pid
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        while left:
+            # a job more per result back: no write blocks, and a free worker takes the next
+            while sent < min(len(jobs), len(jobs) - left + workers):
+                os.write(job_w, sent.to_bytes(4, "little"))
+                sent += 1
+            for fd in select.select(list(pids), [], [])[0]:
+                _, p, _, start, stop = jobs[int.from_bytes(_read(fd, 4, pids), "little")]
+                body = _read(fd, 9 * (stop - start), pids)
+                steps[p, start:stop] = np.frombuffer(body, np.int64, stop - start)
+                labels[p, start:stop] = np.frombuffer(body, np.int8, offset=8 * (stop - start))
+                left -= 1
+    finally:
+        signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+        for fd in (job_r, job_w, *pids):
+            os.close(fd)
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)  # it has no job left, or its job is not wanted
+            os.waitpid(pid, 0)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     return WalkEnsemble(steps, labels)

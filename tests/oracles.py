@@ -271,7 +271,7 @@ def error_decomposition(
     (1 - sin theta)/2 from below; the record reports measured numbers only.
     """
     truth = candidate_of(truth_state)
-    ens = run_ensemble(truth_state, pm, wb, trials, master_seed, max_steps)
+    ens = run_ensemble([(truth_state, pm, ())], wb, trials, master_seed, max_steps)
     n_zero = int(np.sum(ens.labels == Outcome.ZERO))
     n_one = int(np.sum(ens.labels == Outcome.ONE))
     collapsed = n_zero + n_one

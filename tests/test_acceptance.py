@@ -93,10 +93,11 @@ def test_c03_born_rule_convergence():
     wb = WalkBoundaries(0.1, 89.9)
     details = []
     ok = True
-    for k, angle in enumerate((20.0, 45.0, 70.0)):
-        ens = run_ensemble(state_from_angle(angle), pm, wb, 10**5,
-                           MASTER_SEED, seed_path=(3, k))
-        got = ens.fraction(Outcome.ZERO)
+    angles = (20.0, 45.0, 70.0)
+    ens = run_ensemble([(state_from_angle(angle), pm, (3, k)) for k, angle in enumerate(angles)],
+                       wb, 10**5, MASTER_SEED)
+    for angle, labels in zip(angles, ens.labels):
+        got = float(np.mean(labels == Outcome.ZERO))
         want = born_probabilities(state_from_angle(angle))[0]
         details.append(f"a0={angle:g}: {got:.4f} vs {want:.4f}")
         ok = ok and abs(got - want) < 0.02
@@ -105,9 +106,8 @@ def test_c03_born_rule_convergence():
 
 @pytest.fixture(scope="module")
 def fig2_fit():
-    ens = run_ensemble(state_from_angle(45.0), PointerModel(20.0),
-                       WalkBoundaries(10.0, 80.0), 10**4, MASTER_SEED,
-                       seed_path=(4,))
+    ens = run_ensemble([(state_from_angle(45.0), PointerModel(20.0), (4,))],
+                       WalkBoundaries(10.0, 80.0), 10**4, MASTER_SEED)
     collapsed = ens.steps[ens.labels != Outcome.MAXED_OUT].astype(float)
     return fit_lognormal(collapsed)
 
@@ -131,11 +131,9 @@ def test_c05_fig3_quadratic_scaling():
     sigmas = [5.0, 10.0, 15.0, 20.0, 25.0]
     wb = WalkBoundaries(10.0, 80.0)
     s0 = state_from_angle(45.0)
-    medians = []
-    for k, sigma in enumerate(sigmas):
-        ens = run_ensemble(s0, PointerModel(sigma), wb, 10**4,
-                           MASTER_SEED, seed_path=(5, k))
-        medians.append(float(np.median(ens.steps)))
+    ens = run_ensemble([(s0, PointerModel(sigma), (5, k)) for k, sigma in enumerate(sigmas)],
+                       wb, 10**4, MASTER_SEED)
+    medians = np.median(ens.steps, axis=1).tolist()
     coeff, r2 = quadratic_scaling_fit(sigmas, medians)
     _finish("05 fig3-quadratic", r2 > 0.98,
             f"medians={medians}, c={coeff:.3f}, r2={r2:.5f}>0.98")

@@ -375,7 +375,7 @@ def test_ensembles_build_no_generator(monkeypatch, tmp_path):
     psi1, _ = make_discrimination_pair(50.0)
     pm = PointerModel(3.0)
     ensembles = [
-        (lambda: run_ensemble(psi1, pm, WalkBoundaries(10.0, 80.0), 50, 1), 1),
+        (lambda: run_ensemble([(psi1, pm, ())], WalkBoundaries(10.0, 80.0), 50, 1), 1),
         (lambda: hypothesis_success_curves([50.0], [5], pm, 100, 1), 1),
         (lambda: average_cdf(psi1, 5, pm, 1000, 1), 1),
         # the ensemble, then one chunk of the trajectory dump
@@ -406,8 +406,8 @@ class TestCollapseSuccessCurve:
         pm = PointerModel(5.0)
         psi1, psi2 = make_discrimination_pair(40.0)
         n = 4000
-        ens1 = run_ensemble(psi1, pm, wb, n, 120)
-        ens2 = run_ensemble(psi2, pm, wb, n, 121)
+        ens1 = run_ensemble([(psi1, pm, ())], wb, n, 120)
+        ens2 = run_ensemble([(psi2, pm, ())], wb, n, 121)
         s1 = ens1.fraction(Outcome.ONE)
         s2 = ens2.fraction(Outcome.ZERO)
         se = math.hypot(math.sqrt(s1 * (1 - s1) / n), math.sqrt(s2 * (1 - s2) / n))

@@ -241,6 +241,12 @@ class TestFig3:
             with pytest.raises(SpecError, match="sigma"):
                 run(ExperimentSpec("fig3", params, output_dir=str(tmp_path / "out")))
 
+    def test_the_error_names_the_first_maxed_out_sigma_in_grid_order(self, tmp_path):
+        # no walk collapses within 5 steps at sigma 50 or 60; sigma 60 walks first
+        params = {"trials": 40, "sigma_grid": [1.0, 2.0, 50.0, 60.0], "max_steps": 5}
+        with pytest.raises(SpecError, match=r"at sigma 50\.0$"):
+            run(ExperimentSpec("fig3", params, output_dir=str(tmp_path / "out")))
+
 
 def oracle_dump(s0, pm, wb, trials, master_seed, max_steps, seed_path=()):
     """The trajectory dump's bytes from run_walk's readings and bias_update."""
@@ -754,6 +760,42 @@ class TestCli:
             _, err = proc.communicate(timeout=60)
             assert proc.returncode == 130
             assert json.loads(err)["error"] == "interrupted; partial outputs removed"
+            assert not list(tmp_path.iterdir())
+            deadline = time.monotonic() + 10  # time for the group's last exit to be reaped
+            with contextlib.suppress(ProcessLookupError):
+                while time.monotonic() < deadline:
+                    os.killpg(pgid, 0)
+                    time.sleep(0.01)
+            with pytest.raises(ProcessLookupError):
+                os.killpg(pgid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(pgid, signal.SIGKILL)
+            proc.kill()
+
+    def test_killed_walk_worker_ends_the_run_with_exit_2(self, tmp_path):
+        # a walk worker that dies ends the run at once, with its signal named; the mask
+        # says two CPUs, so fig3 forks workers even on a one-CPU machine
+        out = tmp_path / "a" / "b"
+        two_cpus = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                    "from weaksep.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.Popen([sys.executable, "-c", two_cpus, "fig3", "--out", str(out)],
+                                env={**os.environ, "PYTHONPATH": SRC}, start_new_session=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        pgid = proc.pid
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        try:
+            deadline = time.monotonic() + 60
+            workers = []
+            while not workers and proc.poll() is None and time.monotonic() < deadline:
+                with contextlib.suppress(OSError):
+                    workers = children.read_text().split()
+                time.sleep(0.01)
+            assert workers, "fig3 forked no walk worker"
+            os.kill(int(workers[0]), signal.SIGKILL)
+            _, err = proc.communicate(timeout=60)  # a run that waits for the dead worker ends here
+            assert proc.returncode == 2
+            assert "SIGKILL" in " ".join(json.loads(err)["details"])
             assert not list(tmp_path.iterdir())
             deadline = time.monotonic() + 10  # time for the group's last exit to be reaped
             with contextlib.suppress(ProcessLookupError):

@@ -320,21 +320,21 @@ class TestRunEnsemble:
         pm = PointerModel(5.0)
         wb = WalkBoundaries(10.0, 80.0)
         s0 = state_from_angle(45.0)
-        ens = run_ensemble(s0, pm, wb, 1, master_seed=99)
+        ens = run_ensemble([(s0, pm, ())], wb, 1, master_seed=99)
         solo = run_walk(s0, pm, wb, None, derive_generator(99, 0))
-        assert ens.steps[0] == solo.steps
-        assert ens.labels[0] == int(solo.label)
+        assert ens.steps[0, 0] == solo.steps
+        assert ens.labels[0, 0] == int(solo.label)
 
     def test_every_trial_matches_standalone_walk(self):
         pm = PointerModel(4.0)
         wb = WalkBoundaries(15.0, 75.0)
         s0 = state_from_angle(40.0)
         trials = 64
-        ens = run_ensemble(s0, pm, wb, trials, master_seed=123)
+        ens = run_ensemble([(s0, pm, ())], wb, trials, master_seed=123)
         for i in range(trials):
             solo = run_walk(s0, pm, wb, None, derive_generator(123, i))
-            assert ens.steps[i] == solo.steps, f"trial {i}"
-            assert ens.labels[i] == int(solo.label), f"trial {i}"
+            assert ens.steps[0, i] == solo.steps, f"trial {i}"
+            assert ens.labels[0, i] == int(solo.label), f"trial {i}"
             assert solo.readings.size == solo.steps
             if solo.label == Outcome.ZERO:
                 assert solo.final_state.angle_deg <= wb.a0_tilde
@@ -345,28 +345,29 @@ class TestRunEnsemble:
         pm = PointerModel(5.0)
         wb = WalkBoundaries(10.0, 80.0)
         s0 = state_from_angle(45.0)
-        a = run_ensemble(s0, pm, wb, 500, 7)
-        b = run_ensemble(s0, pm, wb, 500, 7)
+        a = run_ensemble([(s0, pm, ())], wb, 500, 7)
+        b = run_ensemble([(s0, pm, ())], wb, 500, 7)
         assert np.array_equal(a.steps, b.steps)
         assert np.array_equal(a.labels, b.labels)
 
     def test_collapsed_start_short_circuits(self):
-        ens = run_ensemble(state_from_angle(5.0), PointerModel(5.0),
+        ens = run_ensemble([(state_from_angle(5.0), PointerModel(5.0), ())],
                            WalkBoundaries(10.0, 80.0), 10, 1)
+        assert ens.steps.shape == (1, 10)
         assert np.all(ens.steps == 0)
         assert np.all(ens.labels == Outcome.ZERO)
 
     @pytest.mark.parametrize("trials, max_steps", [(0, None), (-3, None), (10, 0), (10, -1)])
     def test_bad_trials_or_max_steps(self, trials, max_steps):
         with pytest.raises(ValueError):
-            run_ensemble(state_from_angle(45.0), PointerModel(5.0),
+            run_ensemble([(state_from_angle(45.0), PointerModel(5.0), ())],
                          WalkBoundaries(10.0, 80.0), trials, 1, max_steps=max_steps)
 
     def test_born_rule_collapse_fractions(self):
         # near-axis boundaries: P(collapse to ZERO) approaches the Born weight
         pm = PointerModel(5.0)
         wb = WalkBoundaries(0.1, 89.9)
-        ens = run_ensemble(state_from_angle(20.0), pm, wb, 20000, 31)
+        ens = run_ensemble([(state_from_angle(20.0), pm, ())], wb, 20000, 31)
         assert ens.fraction(Outcome.MAXED_OUT) == 0.0
         want = born_probabilities(state_from_angle(20.0))[0]
         assert abs(ens.fraction(Outcome.ZERO) - want) < 0.02
@@ -389,9 +390,7 @@ class TestRunEnsemble:
     def test_median_steps_nondecreasing_in_sigma(self):
         wb = WalkBoundaries(10.0, 80.0)
         s0 = state_from_angle(45.0)
-        medians = []
-        for k, sigma in enumerate((5.0, 10.0, 15.0, 20.0, 25.0)):
-            ens = run_ensemble(s0, PointerModel(sigma), wb, 10000, 61,
-                               seed_path=(k,))
-            medians.append(float(np.median(ens.steps)))
+        points = [(s0, PointerModel(sigma), (k,))
+                  for k, sigma in enumerate((5.0, 10.0, 15.0, 20.0, 25.0))]
+        medians = np.median(run_ensemble(points, wb, 10000, 61).steps, axis=1)
         assert all(b >= a for a, b in zip(medians, medians[1:]))

@@ -1,5 +1,5 @@
-"""run_ensemble walks its lanes in slices on forked workers: no result may depend
-on how many workers there are, or on whether there are any.
+"""run_ensemble walks every point of a call in slices on one set of forked workers:
+no result may depend on how many workers there are, or on whether there are any.
 
 These tests set the affinity mask that run_ensemble reads, so they take the
 parallel path even on one CPU; each compares with a run that took it. The
@@ -15,11 +15,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import weaksep.experiments as experiments
 import weaksep.walk as walk
 from oracles import derive_generator, run_walk
 from weaksep.experiments import ExperimentSpec, run
 from weaksep.qubit import state_from_angle
-from weaksep.walk import PointerModel, WalkBoundaries, run_ensemble
+from weaksep.walk import Outcome, PointerModel, WalkBoundaries
 
 TRIALS = 3 * walk._MIN_WORKER_LANES + 5  # three workers' worth, in uneven slices
 S0, PM, WB = state_from_angle(40.0), PointerModel(3.0), WalkBoundaries(10.0, 80.0)
@@ -28,15 +29,25 @@ SEED, PATH = 20260811, (4,)
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The worker counts of the pools run_ensemble starts, in order."""
-    started = []
-    pool = multiprocessing.context.ForkContext.Pool
+    """The number of workers each run_ensemble call forks, in order; 0 when it walks serially."""
+    started, forked, fork, ensemble = [], [], os.fork, walk.run_ensemble
 
-    def recording(self, processes=None, *args, **kwargs):
-        started.append(processes)
-        return pool(self, processes, *args, **kwargs)
+    def counting():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-    monkeypatch.setattr(multiprocessing.context.ForkContext, "Pool", recording)
+    def recording(*args, **kwargs):
+        before = len(forked)
+        try:
+            return ensemble(*args, **kwargs)
+        finally:
+            started.append(len(forked) - before)
+
+    monkeypatch.setattr(os, "fork", counting)
+    for module in (walk, experiments):
+        monkeypatch.setattr(module, "run_ensemble", recording)
     return started
 
 
@@ -45,7 +56,7 @@ def set_cpus(monkeypatch, n):
 
 
 def ensemble():
-    return run_ensemble(S0, PM, WB, TRIALS, SEED, seed_path=PATH)
+    return walk.run_ensemble([(S0, PM, PATH)], WB, TRIALS, SEED)
 
 
 @pytest.fixture
@@ -72,8 +83,8 @@ def test_worker_count_invariance(monkeypatch, pools, tmp_path):
         params = {"sigma_grid": [0.5, 1.0, 1.5, 2.0], "trials": TRIALS, "dump_trajectories": True}
         run(ExperimentSpec("fig3", params, SEED, str(out)))
         csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
-    # one worker starts no pool; fig3 starts one per sigma
-    assert pools == [2] + [2] * 4 + [3] + [3] * 4
+    # one CPU forks no worker; fig3 forks one set for all of its sigmas
+    assert pools == [0, 0, 2, 2, 3, 3]
     for ens in ensembles[1:]:
         assert_same(ens, ensembles[0])
     assert len(csvs[0]) == 5 and csvs[1] == csvs[0] and csvs[2] == csvs[0]
@@ -81,7 +92,33 @@ def test_worker_count_invariance(monkeypatch, pools, tmp_path):
     ens = ensembles[2]
     for i in (0, TRIALS // 3 - 1, TRIALS // 3, 2 * TRIALS // 3, TRIALS - 1):
         solo = run_walk(S0, PM, WB, None, derive_generator(SEED, *PATH, i))
-        assert (ens.steps[i], ens.labels[i]) == (solo.steps, int(solo.label)), f"lane {i}"
+        assert (ens.steps[0, i], ens.labels[0, i]) == (solo.steps, int(solo.label)), f"lane {i}"
+
+
+def test_points_walk_longest_first_in_slices(monkeypatch, pools):
+    # sigma 3 is the longest walk and goes out first, then sigma 2, then sigma 1;
+    # the 5-degree start is on a boundary and takes no step; every walking point
+    # has more than _MAX_SLICE_LANES lanes, so each takes two slices or more
+    trials = walk._MAX_SLICE_LANES + 5
+    points = [(S0, PointerModel(1.0), (0,)), (state_from_angle(5.0), PM, (1,)),
+              (S0, PointerModel(3.0), (2,)), (S0, PointerModel(2.0), (3,))]
+    ensembles = []
+    for cpus in (1, 2, 3, 5):
+        set_cpus(monkeypatch, cpus)
+        ensembles.append(walk.run_ensemble(points, WB, trials, SEED))
+    assert pools == [0, 2, 3, 5]
+    for ens in ensembles[1:]:
+        assert_same(ens, ensembles[0])
+    ens = ensembles[0]
+    assert ens.steps.shape == ens.labels.shape == (4, trials)
+    assert not ens.steps[1].any() and (ens.labels[1] == Outcome.ZERO).all()
+    edges = {trials * k // 4 + d for k in range(1, 4) for d in (-1, 0)} | {0, trials - 1}
+    for p in (0, 2, 3):
+        s0, pm, path = points[p]
+        for i in sorted(edges):
+            solo = run_walk(s0, pm, WB, None, derive_generator(SEED, *path, i))
+            assert (ens.steps[p, i], ens.labels[p, i]) == (solo.steps, int(solo.label)), \
+                f"point {p}, lane {i}"
 
 
 def test_real_affinity_mask(parallel):
@@ -91,7 +128,7 @@ def test_real_affinity_mask(parallel):
 def test_one_cpu_walks_serially(monkeypatch, pools, parallel):
     set_cpus(monkeypatch, 1)
     assert_same(ensemble(), parallel)
-    assert pools == []
+    assert pools == [0]
 
 
 @pytest.mark.filterwarnings("error::DeprecationWarning")  # Python 3.12 warns on fork with threads
@@ -106,7 +143,7 @@ def test_another_thread_walks_serially(pools, parallel):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert_same(ens, parallel)
-    assert pools == []
+    assert pools == [0]
 
 
 def _send_ensemble(conn):
@@ -120,7 +157,8 @@ def _send_ensemble(conn):
 
 
 def test_daemonic_process_walks_serially(parallel):
-    # a daemonic process may not start a pool; the mask set above says 2 CPUs
+    # os.fork has no rule against a daemonic process's children, so it forks workers
+    # of its own; the mask set above says 2 CPUs
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_send_ensemble, args=(send,), daemon=True)
@@ -146,8 +184,8 @@ def test_serial_memory_is_one_slice_and_the_outputs(monkeypatch):
     trials = 200_000
     tracemalloc.start()
     try:
-        ens = run_ensemble(state_from_angle(45.0), PointerModel(20.0), WB, trials, 5,
-                           max_steps=8)
+        ens = walk.run_ensemble([(state_from_angle(45.0), PointerModel(20.0), ())], WB, trials,
+                                5, max_steps=8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -163,8 +201,8 @@ def test_serial_memory_grows_by_the_steps_and_labels(monkeypatch):
     def peak(trials):
         tracemalloc.start()
         try:
-            run_ensemble(state_from_angle(45.0), PointerModel(20.0), WB, trials, 6,
-                         max_steps=8)
+            walk.run_ensemble([(state_from_angle(45.0), PointerModel(20.0), ())], WB, trials,
+                              6, max_steps=8)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
