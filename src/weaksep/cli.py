@@ -8,9 +8,11 @@ Usage:
 A config file is a single JSON document with any of the keys
 {"experiment", "parameters", "master_seed", "output_dir"}; flags override the
 file. Invalid invocations (an unknown flag, a mistyped flag value), invalid
-specs, runs that fail on their numbers (an overflow, too few collapsed walks to
-fit) and unwritable output directories exit with status 2 and a JSON error on
-standard error. A run stopped by SIGINT (Ctrl-C) or SIGTERM removes its partial
+specs, runs that fail (on their numbers, such as an overflow or too few
+collapsed walks to fit, on their size, or on a worker's death) and unwritable
+output directories exit with status 2 and a JSON error on standard error:
+"invalid invocation", "invalid experiment spec", "the run failed" or "cannot
+write outputs". A run stopped by SIGINT (Ctrl-C) or SIGTERM removes its partial
 outputs, writes a JSON error and exits with 128 + the signal number, 130 or 143.
 """
 
@@ -111,8 +113,8 @@ def main(argv: list[str] | None = None) -> int:
     previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         summary = run(spec)
-    except SpecError as exc:
-        _error_json("invalid experiment spec", exc.errors)
+    except SpecError as exc:  # a failed run's error is raised from its cause
+        _error_json("the run failed" if exc.__cause__ else "invalid experiment spec", exc.errors)
         return 2
     except OSError as exc:
         _error_json("cannot write outputs", [str(exc)])

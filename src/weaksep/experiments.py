@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import shutil
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -28,7 +29,7 @@ from .stats import (MIN_FIT_SAMPLES, PRNG_ALGORITHM, LaneStreams, fit_lognormal,
 from .tsvf import (TsvfSetup, analytic_moments, optimal_eta, quadrature_moments,
                    separation_report)
 from .walk import (_MAX_SLICE_LANES, Outcome, PointerModel, WalkBoundaries, _back_action,
-                   _lockstep, run_ensemble, state_log_odds)
+                   _fork_map, _lockstep, _worker_count, run_ensemble, state_log_odds)
 
 DEFAULT_MASTER_SEED = 20260811
 
@@ -71,38 +72,92 @@ class RunSummary:
 
 
 _CSV_ROWS = 1024  # most rows the writer formats at once, so that its memory stays flat
+_MIN_WORKER_ROWS = 1 << 14  # a CSV part's fewest rows, about 20 ms against a 5-7 ms fork and reap
 
 
-def _write_csv(path: Path, header: list[str], blocks, files: list[Path]) -> None:
-    """Write the header, then the rows of `blocks`, each a tuple of equal-length
-    columns, a window of at most _CSV_ROWS rows at a time.
+def _write_blocks(fh, blocks) -> None:
+    """Write the rows of `blocks` to the text file fh, as _write_csv describes."""
+    for block in blocks:
+        for lo in range(0, len(block[0]), _CSV_ROWS):
+            window = [column[lo:lo + _CSV_ROWS] for column in block]
+            fields = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in window]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+
+
+def _write_csv(path: Path, header: list[str], parts, files: list[Path]) -> None:
+    """Write the header, then the rows of each of `parts` in order: a part is an
+    iterable of blocks, each a tuple of equal-length columns, and its rows are
+    written a window of at most _CSV_ROWS rows at a time.
 
     A field is `str` of its Python value: an array (numeric, boolean or text)
     goes through `tolist` first, so a float prints as its shortest repr and an
     integer in full. Fields are never quoted: no value the experiments write
     holds a comma, a double quote or a line break.
+
+    Of several parts, each is written by a worker of `walk._fork_map` into a
+    part file beside `path`, named as it is plus ".part" and the part's number,
+    which this process then appends in order and removes.
     """
     if path in files:  # e.g. two sigmas that print alike in a file name
         raise ValueError(f"two outputs of the run would both be {path.name}")
-    files.append(path)  # before writing, so that a failed run removes a partial file
+    names = ([path.with_name(f"{path.name}.part{k}") for k in range(len(parts))]
+             if len(parts) > 1 else [])
+    files += [path, *names]  # before writing, so that a failed run removes a partial file
+
+    def write(k):
+        with open(names[k], "w", newline="", encoding="utf-8") as fh:
+            _write_blocks(fh, parts[k])
+        return b""
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for block in blocks:
-            for lo in range(0, len(block[0]), _CSV_ROWS):
-                window = [column[lo:lo + _CSV_ROWS] for column in block]
-                fields = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in window]
-                fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+        if not names:
+            _write_blocks(fh, parts[0])
+        else:
+            with _fork_map(write, len(names), len(names)) as results:
+                for _ in results:
+                    pass
+            fh.flush()
+            for name in names:
+                with open(name, "rb") as part:
+                    shutil.copyfileobj(part, fh.buffer)
+                name.unlink()
+    del files[len(files) - len(names):]  # the parts, now removed
+
+
+def _parts(ends) -> list:
+    """(first, last + 1) of ranges of whole units, where unit i ends at row ends[i], of
+    about equal rows: one range per worker that the rows pay for at _MIN_WORKER_ROWS each."""
+    rows = int(ends[-1:].sum())  # 0 of no units
+    n = _worker_count(rows, _MIN_WORKER_ROWS)
+    cuts = np.searchsorted(ends, rows * np.arange(n + 1) // n, side="right")
+    cuts[[0, -1]] = 0, ends.size
+    return list(zip(cuts.tolist(), cuts[1:].tolist()))
+
+
+def _row_parts(*columns) -> list:
+    """Equal-length `columns` as the parts of _write_csv, in about equal row ranges."""
+    rows = np.arange(len(columns[0])) + 1  # each row a unit of one row
+    return [[tuple(c[lo:hi] for c in columns)] for lo, hi in _parts(rows)]
 
 
 _DUMP_READINGS = 1 << 20  # most readings the trajectory dump holds at once
 _TRAJECTORY_HEADER = ["trial", "step", "reading", "alpha", "beta"]
 
 
+def _trajectory_parts(s0, pm: PointerModel, wb: WalkBoundaries, steps, master_seed: int,
+                      seed_path: tuple[int, ...] = ()) -> list:
+    """The per-step rows of the ensemble whose trials took `steps` steps, as the parts
+    of _write_csv, in ranges of whole trials of about equal rows."""
+    return [_trajectory_rows(s0, pm, wb, steps, master_seed, seed_path, lo, stop)
+            for lo, stop in _parts(np.cumsum(steps))]
+
+
 def _trajectory_rows(s0, pm: PointerModel, wb: WalkBoundaries, steps, master_seed: int,
-                     seed_path: tuple[int, ...] = ()):
-    """Column blocks of the per-step rows of the ensemble whose trials took `steps`
-    steps: the kernel's readings on the ensemble's own streams, and
-    `_back_action` iterated over them from s0.
+                     seed_path: tuple[int, ...], lo: int, stop: int):
+    """Column blocks of the per-step rows of trials lo..stop-1 of the ensemble
+    whose trials took `steps` steps: the kernel's readings on the ensemble's own
+    streams, and `_back_action` iterated over them from s0.
 
     Trials go in chunks of at most _MAX_SLICE_LANES trials whose readings fit
     one buffer of _DUMP_READINGS. A trial longer than that is a chunk of its
@@ -114,11 +169,10 @@ def _trajectory_rows(s0, pm: PointerModel, wb: WalkBoundaries, steps, master_see
     """
     held = np.cumsum(steps + 1)  # readings plus lanes of trials 0..i
     g, sigma = pm.g, pm.sigma
-    lo = 0
-    while lo < steps.size:
+    while lo < stop:
         # the trials from lo on that fit the buffer and one slice, and at least one
         limit = held[lo] - steps[lo] - 1 + _DUMP_READINGS
-        hi = min(lo + _MAX_SLICE_LANES,
+        hi = min(lo + _MAX_SLICE_LANES, stop,
                  max(lo + 1, int(np.searchsorted(held, limit, side="right"))))
         n = steps[lo:hi]
         end = np.cumsum(n)  # one past each trial's last row in the chunk
@@ -154,7 +208,7 @@ def _trajectory_rows(s0, pm: PointerModel, wb: WalkBoundaries, steps, master_see
 def _run_helstrom_table(params, master_seed, outdir, files) -> dict:
     thetas = params["theta_grid"]
     _write_csv(outdir / "helstrom_table.csv", ["theta_deg", "helstrom"],
-               [(thetas, [helstrom_bound(t) for t in thetas])], files)
+               _row_parts(thetas, [helstrom_bound(t) for t in thetas]), files)
     return {"points": len(thetas)}
 
 
@@ -167,12 +221,12 @@ def _run_fig2(params, master_seed, outdir, files) -> dict:
     steps, labels = ens.steps[0], ens.labels[0]
     names = np.array([outcome.name.lower() for outcome in Outcome])
     _write_csv(outdir / "fig2_steps.csv", ["trial", "steps", "label"],
-               [(np.arange(trials), steps, names[labels])], files)
+               _row_parts(np.arange(trials), steps, names[labels]), files)
     collapsed = steps[labels != Outcome.MAXED_OUT]
     fit = fit_lognormal(collapsed)
     if params["dump_trajectories"]:
         _write_csv(outdir / "fig2_trajectories.csv", _TRAJECTORY_HEADER,
-                   _trajectory_rows(s0, pm, wb, steps, master_seed), files)
+                   _trajectory_parts(s0, pm, wb, steps, master_seed), files)
     return {
         "mu_tilde": fit.mu_tilde,
         "sigma_tilde": fit.sigma_tilde,
@@ -199,17 +253,17 @@ def _run_fig3(params, master_seed, outdir, files) -> dict:
         rows.append((pm.sigma, float(np.median(collapsed)), float(np.mean(collapsed)), trials))
         if params["dump_trajectories"]:
             _write_csv(outdir / f"fig3_trajectories_sigma{pm.sigma:g}.csv", _TRAJECTORY_HEADER,
-                       _trajectory_rows(s0, pm, wb, steps, master_seed, (k,)), files)
+                       _trajectory_parts(s0, pm, wb, steps, master_seed, (k,)), files)
     columns = tuple(zip(*rows))
     _write_csv(outdir / "fig3_medians.csv",
-               ["sigma", "median_steps", "mean_steps", "trials"], [columns], files)
+               ["sigma", "median_steps", "mean_steps", "trials"], _row_parts(*columns), files)
     coeff, r2 = quadratic_scaling_fit(*columns[:2])  # median_steps against sigma
     return {"coefficient": coeff, "r_squared": r2}
 
 
 def _write_success_curve(path: Path, curve, files: list[Path]) -> None:
     _write_csv(path, ["theta_deg", "success", "stderr", "helstrom"],
-               [(curve.theta_grid, curve.success, curve.stderr, curve.helstrom)], files)
+               _row_parts(curve.theta_grid, curve.success, curve.stderr, curve.helstrom), files)
 
 
 def _run_fig4(params, master_seed, outdir, files) -> dict:
@@ -245,7 +299,7 @@ def _run_fig6(params, master_seed, outdir, files) -> dict:
     for m in dict.fromkeys(params["m_values"]):
         cdf = average_cdf(truth_state, m, pm, params["trials"], master_seed)
         _write_csv(outdir / f"fig6_m{m}.csv", ["mean_reading", "cdf"],
-                   [(cdf.values, cdf.levels)], files)
+                   _row_parts(cdf.values, cdf.levels), files)
         medians[str(m)] = cdf.median
     return {"medians": medians}
 
@@ -269,7 +323,7 @@ def _run_tsvf_report(params, master_seed, outdir, files) -> dict:
     _write_csv(outdir / "tsvf_report.csv",
                ["eta", "g", "sigma", "mean_analytic", "mean_quadrature",
                 "second_moment_analytic", "second_moment_quadrature",
-                "postselect_prob"], [tuple(zip(*rows))], files)
+                "postselect_prob"], _row_parts(*zip(*rows)), files)
     return {"worst_mean_abs_err_sigma": worst_mean, "worst_second_moment_rel_err": worst_second,
             "quadrature_evaluations": evaluations, "worst_quadrature_err_ratio": worst_err}
 
@@ -287,7 +341,7 @@ def _run_tsvf_separation(params, master_seed, outdir, files) -> dict:
            "postselect_prob_1": m1.postselect_prob, "postselect_prob_2": m2.postselect_prob,
            "acceptance_prob_1": m1.acceptance_prob, "acceptance_prob_2": m2.acceptance_prob,
            "bayes_error": report.bayes_error}
-    _write_csv(outdir / "tsvf_separation.csv", list(row), [tuple(zip(row.values()))], files)
+    _write_csv(outdir / "tsvf_separation.csv", list(row), _row_parts(*zip(row.values())), files)
     headline = ("mean_gap", "bayes_error", "postselect_prob_1", "postselect_prob_2")
     return {**{key: row[key] for key in headline},
             "quadrature_evaluations": report.evaluations,
@@ -452,8 +506,9 @@ def run(spec: ExperimentSpec) -> RunSummary:
     are the directories the run created, while they are empty. A spec that
     `validate` rejects, or whose run fails on its numbers (a ValueError or
     ArithmeticError, such as tsvf's QuadratureError), on its size (a
-    MemoryError) or on a walk worker's death (a ChildProcessError), raises
-    SpecError. A headline score that is not finite (an R^2 of samples that
+    MemoryError) or on the death of a worker that walks or writes a CSV part (a
+    ChildProcessError), raises SpecError; a failed run's SpecError is raised from
+    the exception that ended it. A headline score that is not finite (an R^2 of samples that
     all share one value, say) is written as JSON's null.
     """
     errors = validate(spec)

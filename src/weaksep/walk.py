@@ -37,14 +37,17 @@ it bit for bit to a scalar walk that takes its own steps on that stream.
 `run_ensemble` walks every grid point of a run in one call, in equal slices of
 at most `_MAX_SLICE_LANES` lanes (which bounds the kernel's memory), longest
 first, on one forked worker per CPU of the affinity mask with at least
-`_MIN_WORKER_LANES` lanes each. Slice indices go out on one pipe, and each
-worker writes its results on a pipe of its own for the parent to copy into
-place, so no result depends on the worker count; a worker that dies raises
-ChildProcessError. With one worker or beside other threads it walks in turn.
+`_MIN_WORKER_LANES` lanes each. The workers are those of `_fork_map`, which
+also runs the reading walks of `discriminate` and the CSV parts of
+`experiments`: job indices go out on one pipe, and each worker writes its
+results on a pipe of its own for the parent to put in place, so no result
+depends on the worker count; a worker that dies raises ChildProcessError. With
+one worker or beside other threads the jobs run in turn in the process itself.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import os
@@ -219,6 +222,12 @@ _MAX_SLICE_LANES = 1 << 14  # a slice's most lanes, about 13 MB of kernel state
 _STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
 
+def _worker_count(work: int, floor: int) -> int:
+    """The workers, 1 to the CPUs of the affinity mask, that `work` pays for at `floor` each."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cpus, work // floor))
+
+
 def _walk_slice(L0, pm, wb, max_steps, master_seed, seed_path, start, stop):
     """The int64 steps and int8 labels of lanes start..stop-1 of an ensemble from L0."""
     L = np.full(stop - start, L0)
@@ -232,8 +241,9 @@ def _walk_slice(L0, pm, wb, max_steps, master_seed, seed_path, start, stop):
     return steps, labels.astype(np.int8)
 
 
-def _serve(jobs, job_r, result_w, others):
-    """A worker, which never returns: walk each job indexed on job_r, answer on result_w."""
+def _serve(work, job_r, result_w, others):
+    """A worker, which never returns: for each job k indexed on job_r, write k, the
+    length of work(k)'s bytes and the bytes on result_w."""
     try:
         # SIGTERM ends a worker; Ctrl-C is for the parent to handle
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -243,8 +253,9 @@ def _serve(jobs, job_r, result_w, others):
             os.close(fd)
         with open(result_w, "wb") as out:
             while head := os.read(job_r, 4):  # a whole index: each went in by one write
-                *_, args, start, stop = jobs[int.from_bytes(head, "little")]
-                out.write(b"".join([head, *(a.tobytes() for a in _walk_slice(*args, start, stop))]))
+                body = work(int.from_bytes(head, "little"))
+                out.write(head + len(body).to_bytes(8, "little"))
+                out.write(body)
                 out.flush()
         os._exit(0)
     finally:
@@ -258,10 +269,58 @@ def _read(fd, n, pids):
         if not (chunk := os.read(fd, n - len(data))):
             code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(fd), 0)[1])
             os.close(fd)
-            raise ChildProcessError(f"a walk worker was killed by {signal.Signals(-code).name}"
-                                    if code < 0 else f"a walk worker exited with status {code}")
+            raise ChildProcessError(f"a worker was killed by {signal.Signals(-code).name}"
+                                    if code < 0 else f"a worker exited with status {code}")
         data += chunk
     return data
+
+
+def _results(jobs, workers, job_w, pids):
+    """(k, bytes) for each of the `jobs` jobs, as the workers of pids finish them."""
+    sent = 0
+    for done in range(jobs):
+        # a job more per result back: no write blocks, and a free worker takes the next
+        while sent < min(jobs, done + workers):
+            os.write(job_w, sent.to_bytes(4, "little"))
+            sent += 1
+        fd = select.select(list(pids), [], [])[0][0]
+        head = _read(fd, 12, pids)
+        size = int.from_bytes(head[4:], "little")
+        yield int.from_bytes(head[:4], "little"), _read(fd, size, pids)
+
+
+@contextlib.contextmanager
+def _fork_map(work, jobs: int, workers: int):
+    """An iterator of (k, work(k)) for k in range(jobs), as the jobs finish, where work(k)
+    is bytes: at most `workers` forked workers each take the next job once free, and one
+    that dies raises ChildProcessError. Leaving the block kills and reaps them all. With
+    fewer than two workers or jobs, or beside other threads, the jobs run here in turn."""
+    workers = min(workers, jobs)
+    if workers < 2 or threading.active_count() > 1:  # fork is unsafe with threads
+        yield ((k, work(k)) for k in range(jobs))
+        return
+    # the workers fork with the stop signals blocked: a worker gets them once _serve
+    # has set its handlers, and no signal cuts the reaping short
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+    job_r, job_w = os.pipe()
+    pids = {}  # a worker's result pipe -> its pid
+    try:
+        for _ in range(workers):
+            result_r, result_w = os.pipe()
+            if (pid := os.fork()) == 0:
+                _serve(work, job_r, result_w, (job_w, result_r, *pids))
+            os.close(result_w)
+            pids[result_r] = pid
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        yield _results(jobs, workers, job_w, pids)
+    finally:
+        signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+        for fd in (job_r, job_w, *pids):
+            os.close(fd)
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)  # it has no job left, or its job is not wanted
+            os.waitpid(pid, 0)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def run_ensemble(
@@ -294,49 +353,21 @@ def run_ensemble(
         else:  # at fixed boundaries and start, the mean collapse time grows as sigma^2
             walks.append((min(cap, max(1.0, pm.sigma * pm.sigma)), p,
                           (state_log_odds(s0), pm, wb, cap, master_seed, seed_path)))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = max(1, min(cpus, trials * len(walks) // _MIN_WORKER_LANES))
+    workers = _worker_count(trials * len(walks), _MIN_WORKER_LANES)
     total = sum(w for w, _, _ in walks)
     jobs = []  # (expected steps per slice lane, point, arguments, first lane, lane after the last)
     for w, p, args in walks:  # the fewest slices of a slice's lanes and a worker's share of steps
         n = max(-(-trials // _MAX_SLICE_LANES), math.ceil(workers * w / total))
         jobs += [(w / n, p, args, trials * k // n, trials * (k + 1) // n) for k in range(n)]
     jobs.sort(key=lambda job: -job[0])  # longest first; stable, so in grid order at a tie
-    workers = min(workers, len(jobs))
-    if workers < 2 or threading.active_count() > 1:  # fork is unsafe with threads
-        for _, p, args, start, stop in jobs:  # each slice freed once copied
-            steps[p, start:stop], labels[p, start:stop] = _walk_slice(*args, start, stop)
-        return WalkEnsemble(steps, labels)
-    # the workers fork with the stop signals blocked: a worker gets them once _serve
-    # has set its handlers, and no signal cuts the reaping short
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
-    job_r, job_w = os.pipe()
-    pids, sent, left = {}, 0, len(jobs)  # pids: a worker's result pipe -> its pid
-    try:
-        for _ in range(workers):
-            result_r, result_w = os.pipe()
-            if (pid := os.fork()) == 0:
-                _serve(jobs, job_r, result_w, (job_w, result_r, *pids))
-            os.close(result_w)
-            pids[result_r] = pid
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        while left:
-            # a job more per result back: no write blocks, and a free worker takes the next
-            while sent < min(len(jobs), len(jobs) - left + workers):
-                os.write(job_w, sent.to_bytes(4, "little"))
-                sent += 1
-            for fd in select.select(list(pids), [], [])[0]:
-                _, p, _, start, stop = jobs[int.from_bytes(_read(fd, 4, pids), "little")]
-                body = _read(fd, 9 * (stop - start), pids)
-                steps[p, start:stop] = np.frombuffer(body, np.int64, stop - start)
-                labels[p, start:stop] = np.frombuffer(body, np.int8, offset=8 * (stop - start))
-                left -= 1
-    finally:
-        signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
-        for fd in (job_r, job_w, *pids):
-            os.close(fd)
-        for pid in pids.values():
-            os.kill(pid, signal.SIGKILL)  # it has no job left, or its job is not wanted
-            os.waitpid(pid, 0)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+    def walk(k):
+        *_, args, start, stop = jobs[k]
+        return b"".join(a.tobytes() for a in _walk_slice(*args, start, stop))
+
+    with _fork_map(walk, len(jobs), workers) as results:
+        for k, body in results:  # each slice freed once copied
+            _, p, _, start, stop = jobs[k]
+            steps[p, start:stop] = np.frombuffer(body, np.int64, stop - start)
+            labels[p, start:stop] = np.frombuffer(body, np.int8, offset=8 * (stop - start))
     return WalkEnsemble(steps, labels)

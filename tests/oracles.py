@@ -436,3 +436,15 @@ def write_csv_rows(path: Path, header: list[str], rows, files: list[Path]) -> No
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def oracle_dump(s0, pm, wb, trials, master_seed, max_steps, seed_path=()):
+    """The trajectory dump's bytes from run_walk's readings and bias_update."""
+    lines = ["trial,step,reading,alpha,beta"]
+    for i in range(trials):
+        walk = run_walk(s0, pm, wb, max_steps, derive_generator(master_seed, *seed_path, i))
+        s = s0
+        for t, x in enumerate(walk.readings.tolist(), start=1):
+            s = bias_update(s, x, pm)
+            lines.append(f"{i},{t},{x!r},{s.alpha!r},{s.beta!r}")
+    return ("\n".join(lines) + "\n").encode()

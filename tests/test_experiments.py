@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import weaksep
 import weaksep.experiments as exp
-from oracles import bias_update, derive_generator, run_walk, write_csv_rows
+from oracles import oracle_dump, write_csv_rows
 from weaksep.cli import main
 from weaksep.experiments import (
     DEFAULT_MASTER_SEED,
@@ -248,18 +248,6 @@ class TestFig3:
             run(ExperimentSpec("fig3", params, output_dir=str(tmp_path / "out")))
 
 
-def oracle_dump(s0, pm, wb, trials, master_seed, max_steps, seed_path=()):
-    """The trajectory dump's bytes from run_walk's readings and bias_update."""
-    lines = ["trial,step,reading,alpha,beta"]
-    for i in range(trials):
-        walk = run_walk(s0, pm, wb, max_steps, derive_generator(master_seed, *seed_path, i))
-        s = s0
-        for t, x in enumerate(walk.readings.tolist(), start=1):
-            s = bias_update(s, x, pm)
-            lines.append(f"{i},{t},{x!r},{s.alpha!r},{s.beta!r}")
-    return ("\n".join(lines) + "\n").encode()
-
-
 class TestTrajectoryDump:
     @pytest.mark.parametrize("experiment, parameters, master_seed, buffer, window", [
         # maxed-out walks, and walks longer than the kernel's 32-step blocks
@@ -285,14 +273,14 @@ class TestTrajectoryDump:
         block_rows = []  # rows of each block handed to the writer for a dump
         write_csv = exp._write_csv
 
-        def recording(path, header, blocks, files):
+        def recording(path, header, parts, files):
             def seen(blocks):
                 for block in blocks:
                     block_rows.append(len(block[0]))
                     yield block
             if "trajectories" in path.name:
-                blocks = seen(blocks)
-            write_csv(path, header, blocks, files)
+                parts = [seen(blocks) for blocks in parts]
+            write_csv(path, header, parts, files)
 
         monkeypatch.setattr(exp, "_write_csv", recording)
         params = {**default_parameters(experiment), **parameters, "dump_trajectories": True}
@@ -316,7 +304,7 @@ class TestTrajectoryDump:
         s0, pm, wb = state_from_angle(5.0), PointerModel(2.0), WalkBoundaries(10.0, 80.0)
         path = tmp_path / "fig3_trajectories_sigma2.csv"
         exp._write_csv(path, exp._TRAJECTORY_HEADER,
-                       exp._trajectory_rows(s0, pm, wb, np.zeros(30, dtype=np.int64), 8), [])
+                       exp._trajectory_parts(s0, pm, wb, np.zeros(30, dtype=np.int64), 8), [])
         assert path.read_bytes() == oracle_dump(s0, pm, wb, 30, 8, None) == (
             b"trial,step,reading,alpha,beta\n")
 
@@ -439,7 +427,7 @@ class TestTsvfSeparation:
                                    "output_dir": str(tmp_path / "out")}))
         assert main(["--config", str(cfg)]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "invalid experiment spec"
+        assert err["error"] == "the run failed"
         assert "QuadratureError" in err["details"][0]
         assert list(tmp_path.iterdir()) == [cfg]
 
@@ -521,14 +509,14 @@ class TestWriteCsv:
                 mock.patch.object(exp, "_CSV_ROWS", window):
             want, got = Path(tmp) / "rows.csv", Path(tmp) / "columns.csv"
             write_csv_rows(want, header, rows, [])
-            exp._write_csv(got, header, blocks, [])
+            exp._write_csv(got, header, [blocks], [])
             assert got.read_bytes() == want.read_bytes()
 
 
 class TestFailureCleanup:
     def test_partial_outputs_removed(self, tmp_path, monkeypatch):
         def broken(params, master_seed, outdir, files):
-            exp._write_csv(outdir / "partial.csv", ["a"], [([1],)], files)
+            exp._write_csv(outdir / "partial.csv", ["a"], [[([1],)]], files)
             raise RuntimeError("boom")
 
         monkeypatch.setitem(exp.EXPERIMENTS, "fig2", (exp.EXPERIMENTS["fig2"][0], broken))
@@ -543,7 +531,7 @@ class TestFailureCleanup:
             raise RuntimeError("boom")
 
         def broken(params, master_seed, outdir, files):
-            exp._write_csv(outdir / "partial.csv", ["a"], blocks(), files)
+            exp._write_csv(outdir / "partial.csv", ["a"], [blocks()], files)
 
         monkeypatch.setitem(exp.EXPERIMENTS, "fig2", (exp.EXPERIMENTS["fig2"][0], broken))
         with pytest.raises(RuntimeError):
@@ -661,7 +649,9 @@ class TestCli:
                                    "output_dir": str(tmp_path / "out")}))
         assert main(["--config", str(cfg)]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "invalid experiment spec"
+        # a spec that validate() passes fails in its run, and says so
+        rejected = validate(ExperimentSpec(experiment, parameters))
+        assert err["error"] == ("invalid experiment spec" if rejected else "the run failed")
         assert not [p for p in tmp_path.rglob("*") if p.suffix == ".csv"]
         assert not list(tmp_path.rglob("summary.json"))
         assert not (tmp_path / "out").exists()
@@ -697,7 +687,7 @@ class TestCli:
             cfg.write_text(json.dumps({"experiment": "fig3", "parameters": failing,
                                        "output_dir": str(output_dir)}))
             assert main(["--config", str(cfg)]) == 2
-            assert json.loads(capsys.readouterr().err)["error"] == "invalid experiment spec"
+            assert json.loads(capsys.readouterr().err)["error"] == "the run failed"
         assert not (tmp_path / "a").exists()
         assert kept.is_dir() and not list(kept.iterdir())
 
@@ -773,13 +763,15 @@ class TestCli:
                 os.killpg(pgid, signal.SIGKILL)
             proc.kill()
 
-    def test_killed_walk_worker_ends_the_run_with_exit_2(self, tmp_path):
-        # a walk worker that dies ends the run at once, with its signal named; the mask
-        # says two CPUs, so fig3 forks workers even on a one-CPU machine
+    @staticmethod
+    def _signal_mid_run(tmp_path, argv, to_worker, signum):
+        """Run the CLI on a two-CPU mask, so that it forks workers even on a one-CPU
+        machine; once it has one, send signum to that worker or to the run itself.
+        Returns the exit status and the JSON error, once the process group is empty."""
         out = tmp_path / "a" / "b"
         two_cpus = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
                     "from weaksep.cli import main; sys.exit(main(sys.argv[1:]))")
-        proc = subprocess.Popen([sys.executable, "-c", two_cpus, "fig3", "--out", str(out)],
+        proc = subprocess.Popen([sys.executable, "-c", two_cpus, *argv, "--out", str(out)],
                                 env={**os.environ, "PYTHONPATH": SRC}, start_new_session=True,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         pgid = proc.pid
@@ -791,12 +783,9 @@ class TestCli:
                 with contextlib.suppress(OSError):
                     workers = children.read_text().split()
                 time.sleep(0.01)
-            assert workers, "fig3 forked no walk worker"
-            os.kill(int(workers[0]), signal.SIGKILL)
-            _, err = proc.communicate(timeout=60)  # a run that waits for the dead worker ends here
-            assert proc.returncode == 2
-            assert "SIGKILL" in " ".join(json.loads(err)["details"])
-            assert not list(tmp_path.iterdir())
+            assert workers, f"{argv} forked no worker"
+            os.kill(int(workers[0]) if to_worker else proc.pid, signum)
+            _, err = proc.communicate(timeout=60)  # a run that waits for a dead worker ends here
             deadline = time.monotonic() + 10  # time for the group's last exit to be reaped
             with contextlib.suppress(ProcessLookupError):
                 while time.monotonic() < deadline:
@@ -808,6 +797,36 @@ class TestCli:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(pgid, signal.SIGKILL)
             proc.kill()
+        return proc.returncode, json.loads(err)
+
+    def test_killed_walk_worker_ends_the_run_with_exit_2(self, tmp_path):
+        # a walk worker that dies ends the run at once, with its signal named
+        code, err = self._signal_mid_run(tmp_path, ["fig3"], True, signal.SIGKILL)
+        assert code == 2
+        assert err["error"] == "the run failed"
+        assert "SIGKILL" in " ".join(err["details"])
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        # reading-walk workers, then CSV-part workers
+        ["fig6", "--trials", "100000"],
+        # trajectory-dump workers: the 300-trial ensemble itself walks in one process
+        ["fig2", "--trials", "300", "--dump-trajectories"],
+    ])
+    def test_killed_stage_worker_ends_the_run_with_exit_2(self, tmp_path, argv):
+        # no CSV and no part file is left
+        code, err = self._signal_mid_run(tmp_path, argv, True, signal.SIGKILL)
+        assert code == 2
+        assert err["error"] == "the run failed"
+        assert "SIGKILL" in " ".join(err["details"])
+        assert not list(tmp_path.iterdir())
+
+    def test_sigterm_during_a_dump_leaves_no_part_file(self, tmp_path):
+        code, err = self._signal_mid_run(tmp_path, ["fig2", "--trials", "300",
+                                                    "--dump-trajectories"], False, signal.SIGTERM)
+        assert code == 143
+        assert err["error"] == "interrupted; partial outputs removed"
+        assert not list(tmp_path.iterdir())
 
     def test_run_all_figures_bad_seed_gives_json_error_and_exit_2(self, tmp_path):
         out = tmp_path / "results"

@@ -1,8 +1,10 @@
-"""run_ensemble walks every point of a call in slices on one set of forked workers:
-no result may depend on how many workers there are, or on whether there are any.
+"""run_ensemble walks every point of a call in slices on one set of forked workers,
+and the reading walks of fig5 and fig6 and the parts of a large CSV go to forked
+workers too: no result may depend on how many workers there are, or on whether
+there are any.
 
-These tests set the affinity mask that run_ensemble reads, so they take the
-parallel path even on one CPU; each compares with a run that took it. The
+These tests set the affinity mask that the worker counts read, so they take the
+parallel paths even on one CPU; each compares with a run that took them. The
 serial path on a real one-CPU mask is `test_real_affinity_mask`, which CI also
 runs under ``taskset -c 0``.
 """
@@ -15,9 +17,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import weaksep.discriminate as discriminate
 import weaksep.experiments as experiments
 import weaksep.walk as walk
-from oracles import derive_generator, run_walk
+from oracles import derive_generator, oracle_dump, run_walk
 from weaksep.experiments import ExperimentSpec, run
 from weaksep.qubit import state_from_angle
 from weaksep.walk import Outcome, PointerModel, WalkBoundaries
@@ -28,15 +31,24 @@ SEED, PATH = 20260811, (4,)
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The number of workers each run_ensemble call forks, in order; 0 when it walks serially."""
-    started, forked, fork, ensemble = [], [], os.fork, walk.run_ensemble
+def forked(monkeypatch):
+    """The pid of every worker forked, in order."""
+    pids, fork = [], os.fork
 
     def counting():
         pid = fork()
         if pid:
-            forked.append(pid)
+            pids.append(pid)
         return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+@pytest.fixture
+def pools(monkeypatch, forked):
+    """The number of workers each run_ensemble call forks, in order; 0 when it walks serially."""
+    started, ensemble = [], walk.run_ensemble
 
     def recording(*args, **kwargs):
         before = len(forked)
@@ -45,7 +57,6 @@ def pools(monkeypatch):
         finally:
             started.append(len(forked) - before)
 
-    monkeypatch.setattr(os, "fork", counting)
     for module in (walk, experiments):
         monkeypatch.setattr(module, "run_ensemble", recording)
     return started
@@ -93,6 +104,35 @@ def test_worker_count_invariance(monkeypatch, pools, tmp_path):
     for i in (0, TRIALS // 3 - 1, TRIALS // 3, 2 * TRIALS // 3, TRIALS - 1):
         solo = run_walk(S0, PM, WB, None, derive_generator(SEED, *PATH, i))
         assert (ens.steps[0, i], ens.labels[0, i]) == (solo.steps, int(solo.label)), f"lane {i}"
+
+
+def test_stage_worker_count_invariance(monkeypatch, forked, tmp_path):
+    # floors of 1, so that every reading-walk slice and CSV part can have a worker;
+    # a dump buffer of 64 readings, so that the trials longer than it walk in segments
+    monkeypatch.setattr(discriminate, "_MIN_WORKER_STEPS", 1)
+    monkeypatch.setattr(experiments, "_MIN_WORKER_ROWS", 1)
+    monkeypatch.setattr(experiments, "_DUMP_READINGS", 64)
+    specs = {"fig5": {"theta_grid": [30.0, 60.0, 90.0], "m_values": [1, 4, 9], "trials": 300},
+             "fig6": {"m_values": [3, 8], "trials": 1500},
+             "fig2": {"sigma": 5.0, "trials": 40, "dump_trajectories": True}}
+    csvs, forks = [], []
+    for cpus in (1, 2, 3):
+        set_cpus(monkeypatch, cpus)
+        for name, params in specs.items():
+            forked.clear()
+            run(ExperimentSpec(name, params, SEED, str(tmp_path / str(cpus) / name)))
+            forks.append(len(forked))
+        out = tmp_path / str(cpus)
+        assert not [p for p in out.rglob("*") if ".part" in p.name]
+        csvs.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*.csv"))})
+    # a worker per CPU for each map: fig5's curves and its 3 CSVs, fig6's 2 walks and
+    # 2 CSVs, and fig2's steps CSV and dump
+    assert forks == [0, 0, 0, 8, 8, 4, 12, 12, 6]
+    assert len(csvs[0]) == 3 + 2 + 2 and csvs[1] == csvs[0] and csvs[2] == csvs[0]
+    steps = [int(row.split(b",")[1]) for row in csvs[0]["fig2/fig2_steps.csv"].splitlines()[1:]]
+    assert max(steps) > 64, "no trial walked in segments"
+    assert csvs[0]["fig2/fig2_trajectories.csv"] == oracle_dump(
+        state_from_angle(45.0), PointerModel(5.0), WalkBoundaries(10.0, 80.0), 40, SEED, None)
 
 
 def test_points_walk_longest_first_in_slices(monkeypatch, pools):
